@@ -52,9 +52,6 @@ setBench(const std::string& name)
  * overrides) untouched. */
 struct BenchOptions
 {
-    std::optional<gpu::SchedulerKind> scheduler;
-    std::optional<u32> threads; ///< 0 = auto (hardware threads).
-    std::optional<bool> workSteal;
     std::optional<bool> idleSkip;
     std::optional<bool> emuFastPath;
     std::optional<bool> memFastPath;
@@ -82,9 +79,7 @@ parseArgs(int& argc, char** argv)
 {
     const auto bad = [](const std::string& arg) {
         std::cerr << "error: bad bench flag '" << arg << "'\n"
-                  << "usage: --scheduler=serial|parallel "
-                     "--threads=N (0 = auto) --work-steal=0|1 "
-                     "--idle-skip=0|1 "
+                  << "usage: --idle-skip=0|1 "
                      "--emu-fastpath=0|1 --mem-fastpath=0|1 "
                      "--event-trace[=0|1] "
                      "--config <file> --set section.key=value\n";
@@ -102,14 +97,7 @@ parseArgs(int& argc, char** argv)
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg.rfind("--scheduler=", 0) == 0) {
-            const std::string v = arg.substr(12);
-            const auto kind =
-                gpu::enumFromName<gpu::SchedulerKind>(v);
-            if (!kind)
-                bad(arg);
-            options().scheduler = *kind;
-        } else if (arg == "--config" ||
+        if (arg == "--config" ||
                    arg.rfind("--config=", 0) == 0) {
             options().configFile = valueOf("--config", i, arg);
         } else if (arg == "--set" || arg.rfind("--set=", 0) == 0) {
@@ -117,23 +105,6 @@ parseArgs(int& argc, char** argv)
             if (v.find('=') == std::string::npos)
                 bad(arg);
             options().sets.push_back(v);
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            // 0 is valid and means "auto": resolve to the hardware
-            // thread count (mirrors ATTILA_SCHED_THREADS=0).
-            const std::string v = arg.substr(10);
-            char* end = nullptr;
-            const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0')
-                bad(arg);
-            options().threads = static_cast<u32>(n);
-        } else if (arg.rfind("--work-steal=", 0) == 0) {
-            const std::string v = arg.substr(13);
-            if (v == "1" || v == "true" || v == "on")
-                options().workSteal = true;
-            else if (v == "0" || v == "false" || v == "off")
-                options().workSteal = false;
-            else
-                bad(arg);
         } else if (arg.rfind("--idle-skip=", 0) == 0) {
             const std::string v = arg.substr(12);
             if (v == "1" || v == "true" || v == "on")
@@ -197,12 +168,6 @@ applyOptions(gpu::GpuConfig& config)
         if (options().configFile)
             config.applyFile(*options().configFile);
         config.applyEnvOverrides();
-        if (options().scheduler)
-            config.scheduler = *options().scheduler;
-        if (options().threads)
-            config.schedulerThreads = *options().threads;
-        if (options().workSteal)
-            config.schedWorkSteal = *options().workSteal;
         if (options().idleSkip)
             config.idleSkip = *options().idleSkip;
         if (options().emuFastPath)
@@ -280,11 +245,6 @@ buildCommands(workloads::Workload& workload)
     return ctx.takeCommands();
 }
 
-/**
- * One machine-readable line per run, greppable as ^BENCH_JSON.  The
- * scheduler fields reflect the effective config (after environment
- * overrides), so speedup sweeps can be driven externally.
- */
 /** Sixteen-digit hex rendering of GpuConfig::configHash(), the
  * scenario identity carried on every BENCH_JSON line. */
 inline std::string
@@ -296,6 +256,11 @@ configHashHex(const gpu::GpuConfig& config)
     return os.str();
 }
 
+/**
+ * One machine-readable line per run, greppable as ^BENCH_JSON.  The
+ * toggle fields reflect the effective config (after environment
+ * overrides).
+ */
 inline void
 emitJson(const std::string& label, const RunResult& result)
 {
@@ -308,12 +273,6 @@ emitJson(const std::string& label, const RunResult& result)
               << ",\"wall_s\":" << std::setprecision(6)
               << result.wallSeconds << ",\"khz\":"
               << std::setprecision(3) << result.simKHz()
-              << ",\"scheduler\":\"" << gpu::enumName(c.scheduler)
-              << "\",\"threads\":" << c.schedulerThreads
-              << ",\"threads_resolved\":"
-              << result.gpu->simulator().scheduler().threadCount()
-              << ",\"work_steal\":"
-              << (c.schedWorkSteal ? "true" : "false")
               << ",\"idle_skip\":" << (c.idleSkip ? "true" : "false")
               << ",\"emu_fastpath\":"
               << (c.emuFastPath ? "true" : "false")

@@ -141,7 +141,6 @@ main(int argc, char** argv)
     gpu::GpuConfig banked = gpu::GpuConfig::baseline();
     applyOptions(banked);
     banked.memModel = gpu::MemModel::Banked;
-    banked.scheduler = gpu::SchedulerKind::Serial;
 
     gpu::GpuConfig fifoCfg = banked;
     fifoCfg.dramScheduler = gpu::DramSchedPolicy::Fifo;

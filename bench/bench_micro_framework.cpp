@@ -105,7 +105,7 @@ struct ClockLoopModel
  * A bursty producer feeding a chain of stateless relays: emits
  * @p burstLen objects back to back, then sleeps for the rest of a
  * @p period-cycle window via wakeAt().  Between bursts the whole
- * model is provably idle, so an idle-skipping scheduler fast-forwards
+ * model is provably idle, so the idle-skipping clock loop fast-forwards
  * straight to the next burst.  Used for the idle-skip A/B wall-clock
  * comparison.
  */
@@ -346,7 +346,6 @@ runIdlePhase(u64 cycles, bool idle_skip)
               << ",\"wall_s\":" << wall << ",\"khz\":"
               << (wall > 0.0 ? static_cast<f64>(cycles) / wall / 1e3
                              : 0.0)
-              << ",\"scheduler\":\"serial\",\"threads\":1"
               << ",\"idle_skip\":" << (idle_skip ? "true" : "false")
               << "}\n";
     return {model.sinkCount(), wall};
@@ -384,7 +383,6 @@ main(int argc, char** argv)
               << cycles << ",\"wall_s\":" << wall << ",\"khz\":"
               << (wall > 0.0 ? static_cast<f64>(cycles) / wall / 1e3
                              : 0.0)
-              << ",\"scheduler\":\"serial\",\"threads\":1"
               << ",\"idle_skip\":" << (idle_skip ? "true" : "false")
               << "}\n";
 

@@ -125,8 +125,8 @@ struct DecodedProgram
  * program and uploading a new one at the same address replaces the
  * entry's source pointer check and re-decodes.
  *
- * Not thread-safe: keep one cache per ShaderUnit / RefRenderer (each
- * box is clocked by exactly one scheduler thread per phase).
+ * Not thread-safe: keep one cache per ShaderUnit / RefRenderer, used
+ * by the one thread that runs its Gpu.
  */
 class DecodedProgramCache
 {

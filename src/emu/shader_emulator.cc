@@ -63,6 +63,26 @@ smear(f32 s)
     return {s, s, s, s};
 }
 
+/**
+ * LG2 and POW on a negative base.  ARB leaves these undefined, and
+ * a NaN result would not stay canonical: source negation and ABS
+ * change its sign, and an operation on NaNs of both signs returns
+ * whichever operand the compiler placed first.  So both ops take
+ * the magnitude of the base, like RSQ, and return a number (finite
+ * or infinite) for every non-NaN input.  See docs/ISA.md.
+ */
+inline f32
+lg2Op(f32 x)
+{
+    return std::log2(std::fabs(x));
+}
+
+inline f32
+powOp(f32 base, f32 exponent)
+{
+    return std::pow(std::fabs(base), exponent);
+}
+
 /** ARB LIT: lighting coefficients. */
 Vec4
 litOp(const Vec4& s)
@@ -175,7 +195,7 @@ ShaderEmulator::step(const ShaderProgram& program,
         result.outcome = StepOutcome::Continue;
         return result;
       case Opcode::LG2:
-        r = smear(std::log2(a.x));
+        r = smear(lg2Op(a.x));
         break;
       case Opcode::LIT:
         r = litOp(a);
@@ -199,7 +219,7 @@ ShaderEmulator::step(const ShaderProgram& program,
         r = a * b;
         break;
       case Opcode::POW:
-        r = smear(std::pow(a.x, b.x));
+        r = smear(powOp(a.x, b.x));
         break;
       case Opcode::RCP:
         r = smear(a.x == 0.0f
@@ -426,7 +446,7 @@ execDecodedAlu(const DecodedIns& ins, const ConstantBank& constants,
         break;
       case Opcode::LG2:
         forLanes([&](ShaderThreadState& s) {
-            writeDstD(ins, s, smear(std::log2(src1(s).x)));
+            writeDstD(ins, s, smear(lg2Op(src1(s).x)));
         });
         break;
       case Opcode::LIT:
@@ -480,7 +500,7 @@ execDecodedAlu(const DecodedIns& ins, const ConstantBank& constants,
         forLanes([&](ShaderThreadState& s) {
             const Vec4 a = src1(s);
             const Vec4 b = readSrcD(ins.src[1], s, constants);
-            writeDstD(ins, s, smear(std::pow(a.x, b.x)));
+            writeDstD(ins, s, smear(powOp(a.x, b.x)));
         });
         break;
       case Opcode::RCP:

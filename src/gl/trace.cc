@@ -67,30 +67,48 @@ TraceRecorder::record(TraceOp op, std::initializer_list<f64> scalars,
 
 TracePlayer::TracePlayer(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         fatal("trace player: cannot open '", path, "'");
+    u64 remaining = static_cast<u64>(in.tellg());
+    in.seekg(0);
     char magic[8];
     in.read(magic, 8);
     if (!in || std::memcmp(magic, traceMagic, 8) != 0)
         fatal("trace player: '", path, "' is not an AGL trace");
+    remaining -= sizeof(magic);
 
-    while (true) {
+    // Every field is charged against the bytes left in the file
+    // before it is read, so a corrupt length can never drive an
+    // allocation past the file's own size.
+    const auto take = [&](u64 bytes, const char* what) {
+        if (bytes > remaining)
+            fatal("trace player: ", what, " of ", bytes,
+                  " bytes overruns '", path, "' (", remaining,
+                  " bytes left)");
+        remaining -= bytes;
+    };
+    while (remaining > 0) {
+        take(sizeof(u16) + sizeof(u8), "record header");
         const u16 op = readRaw<u16>(in);
-        if (!in)
-            break;
+        if (op >= numTraceOps)
+            fatal("trace player: unknown opcode ", op, " in '", path,
+                  "'");
         TraceRecord rec;
         rec.op = static_cast<TraceOp>(op);
         const u8 nscalars = readRaw<u8>(in);
+        take(nscalars * sizeof(f64) + sizeof(u32), "scalar list");
         rec.scalars.resize(nscalars);
         for (u8 i = 0; i < nscalars; ++i)
             rec.scalars[i] = readRaw<f64>(in);
         const u32 blob = readRaw<u32>(in);
+        take(u64{blob} + sizeof(u32), "blob");
         rec.blob.resize(blob);
         if (blob) {
             in.read(reinterpret_cast<char*>(rec.blob.data()), blob);
         }
         const u32 text = readRaw<u32>(in);
+        take(text, "text");
         rec.text.resize(text);
         if (text)
             in.read(rec.text.data(), text);

@@ -48,6 +48,10 @@ enum class TraceOp : u16
     StencilOpBackCall,
 };
 
+/** Number of TraceOp values; keep equal to the last one plus 1. */
+constexpr u16 numTraceOps =
+    static_cast<u16>(TraceOp::StencilOpBackCall) + 1;
+
 /** One decoded trace record. */
 struct TraceRecord
 {
@@ -82,7 +86,11 @@ class TraceRecorder
 class TracePlayer
 {
   public:
-    /** Parse the trace at @p path; throws FatalError on errors. */
+    /**
+     * Parse the trace at @p path.  Throws FatalError on a bad magic,
+     * an unknown opcode, or a length field that overruns the file
+     * (checked before anything is allocated).
+     */
     explicit TracePlayer(const std::string& path);
 
     /** Number of frames (SwapBuffers records) in the trace. */

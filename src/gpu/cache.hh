@@ -20,7 +20,7 @@
  * Line structs.  Pending fills occupy a fixed MSHR-style slot table
  * with a per-line back-pointer, replacing the linear pending-fill
  * scans, and miss/writeback transactions are recycled through a
- * sharded ObjectPool so steady-state misses allocate nothing.
+ * ObjectPool so steady-state misses allocate nothing.
  */
 
 #ifndef ATTILA_GPU_CACHE_HH

@@ -141,25 +141,11 @@ Gpu::Gpu(const GpuConfig& config)
     core.addBox(_dac.get());
     core.addBox(_memoryController.get());
 
-    if (_config.scheduler == SchedulerKind::Parallel) {
-        if (!_config.signalTracePath.empty()) {
-            // The trace file's record order is only meaningful when
-            // boxes commit in a fixed order.
-            warn("signal tracing forces the serial scheduler");
-        } else {
-            sim::ParallelScheduler::Options options;
-            options.workSteal = _config.schedWorkSteal;
-            options.slackPercent = _config.schedPartitionSlack;
-            _sim.setScheduler(std::make_unique<sim::ParallelScheduler>(
-                _config.schedulerThreads, options));
-        }
-    }
     _sim.setIdleSkip(_config.idleSkip);
 
-    // Structured event tracing records into per-thread chunks, so —
-    // unlike the text signal trace above — it runs under any
-    // scheduler.  Enabled last: every box is in its domain and every
-    // signal registered, so unit ids come out deterministic.
+    // Structured event tracing is enabled last: every box is in its
+    // domain and every signal registered, so unit ids come out
+    // deterministic.
     if (_config.eventTrace) {
         if constexpr (!sim::kEventTraceCompiled) {
             warn("event tracing requested but compiled out "

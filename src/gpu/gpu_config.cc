@@ -123,10 +123,6 @@ visitConfigFields(GpuConfig& c, V&& v)
     v.field("memory.frfcfsCap", c.frfcfsCap);
     v.field("memory.frfcfsWindow", c.frfcfsWindow);
 
-    v.field("engine.scheduler", c.scheduler);
-    v.field("engine.threads", c.schedulerThreads);
-    v.field("engine.workSteal", c.schedWorkSteal);
-    v.field("engine.partitionSlack", c.schedPartitionSlack);
     v.field("engine.idleSkip", c.idleSkip);
     v.field("engine.emuFastPath", c.emuFastPath);
     v.field("engine.memFastPath", c.memFastPath);
@@ -432,22 +428,6 @@ GpuConfig::applyEnvOverrides()
             }
         }
     }
-    if (const char* env = std::getenv("ATTILA_SCHEDULER")) {
-        const std::string kind(env);
-        if (!kind.empty()) {
-            if (const auto v = enumFromName<SchedulerKind>(kind))
-                scheduler = *v;
-            else
-                fatal("ATTILA_SCHEDULER='", kind, "': expected ",
-                      enumChoices<SchedulerKind>());
-        }
-    }
-    if (const char* env = std::getenv("ATTILA_SCHED_THREADS")) {
-        schedulerThreads =
-            static_cast<u32>(std::strtoul(env, nullptr, 10));
-    }
-    if (const auto flag = envFlag("ATTILA_WORK_STEAL"))
-        schedWorkSteal = *flag;
     if (const auto flag = envFlag("ATTILA_IDLE_SKIP"))
         idleSkip = *flag;
     if (const auto fast = emu::envFastPathOverride())

@@ -45,13 +45,6 @@ enum class FragmentGenKind : u8
     Scanline,  ///< Neon-style tile scanner.
 };
 
-/** Engine clocking the boxes each cycle (sim/scheduler.hh). */
-enum class SchedulerKind : u8
-{
-    Serial,   ///< Single-threaded reference engine.
-    Parallel, ///< Worker pool, one barrier per phase.
-};
-
 /** Memory controller timing model. */
 enum class MemModel : u8
 {
@@ -98,15 +91,6 @@ struct EnumNames<FragmentGenKind>
     static constexpr EnumName<FragmentGenKind> table[] = {
         {"recursive", FragmentGenKind::Recursive},
         {"scanline", FragmentGenKind::Scanline},
-    };
-};
-
-template <>
-struct EnumNames<SchedulerKind>
-{
-    static constexpr EnumName<SchedulerKind> table[] = {
-        {"serial", SchedulerKind::Serial},
-        {"parallel", SchedulerKind::Parallel},
     };
 };
 
@@ -313,22 +297,6 @@ struct GpuConfig
     u32 frfcfsWindow = 16;
 
     // ===== Execution engine =========================================
-    /** Box-loop engine; overridable via ATTILA_SCHEDULER
-     * (serial|parallel). */
-    SchedulerKind scheduler = SchedulerKind::Serial;
-    /** Worker threads for the parallel engine; 0 = all hardware
-     * threads.  Overridable via ATTILA_SCHED_THREADS. */
-    u32 schedulerThreads = 0;
-    /** Parallel engine: idle workers steal active boxes from loaded
-     * partitions (commit order stays canonical, so results are
-     * bit-identical either way).  Overridable via
-     * ATTILA_WORK_STEAL=0|1. */
-    bool schedWorkSteal = true;
-    /** Parallel engine: partition size cap as a percentage of
-     * perfect balance; larger values let the partitioner keep heavy
-     * signal edges uncut at the cost of imbalance (work stealing
-     * absorbs it). */
-    u32 schedPartitionSlack = 125;
     /** Activity-driven clocking: skip provably idle boxes and
      * fast-forward fully idle stretches.  Bit-identical results
      * either way; false restores the always-clock reference path
@@ -357,9 +325,8 @@ struct GpuConfig
     u64 statsWindow = 10000; ///< Sampling window in cycles.
     std::string signalTracePath; ///< Empty disables tracing.
     /** Structured binary event tracing (box activity spans, signal
-     * occupancy, cache transactions, shader thread slots).  Works
-     * under any scheduler; exported to Chrome-tracing/Perfetto JSON
-     * by the benches and examples.  Overridable via
+     * occupancy, cache transactions, shader thread slots), exported
+     * to Chrome-tracing/Perfetto JSON by the benches and examples.  Overridable via
      * ATTILA_EVENT_TRACE=0|1; no-op when the build compiled tracing
      * out (ATTILA_TRACE_EVENTS=0). */
     bool eventTrace = false;
@@ -444,8 +411,8 @@ struct GpuConfig
      * Apply the environment layer: ATTILA_CONFIG (a config file
      * path), ATTILA_CONFIG_SET (comma/semicolon-separated
      * section.key=value overrides) and the legacy per-knob variables
-     * (ATTILA_SCHEDULER, ATTILA_SCHED_THREADS, ATTILA_WORK_STEAL,
-     * ATTILA_IDLE_SKIP, ATTILA_EMU_FASTPATH, ATTILA_MEM_FASTPATH).
+     * (ATTILA_IDLE_SKIP, ATTILA_EMU_FASTPATH, ATTILA_MEM_FASTPATH,
+     * ATTILA_EVENT_TRACE).
      * Idempotent per
      * config: sets envApplied so the Gpu constructor skips its own
      * application when a harness already layered the environment

@@ -4,7 +4,7 @@
  * the memory controller.
  *
  * With GpuConfig::memFastPath on (the default), transactions are
- * recycled through a sharded ObjectPool — MemTransaction::poolReset()
+ * recycled through an ObjectPool — MemTransaction::poolReset()
  * keeps the payload vector's capacity, so steady-state requests
  * allocate nothing.  With it off, every request gets a fresh
  * make_shared (the reference path for A/B runs).  Timing is

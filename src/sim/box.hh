@@ -13,15 +13,14 @@
  *                     state (registers and queues) and *stage* output
  *                     signal writes.  No other box observes these
  *                     writes yet, so phase A has no ordering hazards
- *                     between boxes and may run concurrently for all
- *                     boxes of a clock domain.
+ *                     between boxes of a clock domain.
  *  - propagate(cycle) (phase B): publish the staged writes into the
  *                     signals' delivery slots.  Each signal has a
  *                     single writer box, so phase B is also free of
  *                     cross-box hazards.
  *
- * The scheduler (see sim/scheduler.hh) runs phase A for every box of
- * a domain, then phase B for every box.  clock() bundles both phases
+ * ClockDomain::clock runs phase A for every box of a domain, then
+ * phase B for every box.  clock() bundles both phases
  * for single-box harnesses and tests.
  */
 
@@ -98,7 +97,7 @@ class Box
     //
     // A box is *provably idle* at a cycle when its update() would be
     // a semantic no-op: no internal state to advance, no input
-    // traffic to consume, no scheduled wakeup due.  The scheduler
+    // traffic to consume, no scheduled wakeup due.  The clock loop
     // may then skip both phases for the cycle without changing any
     // observable (cycle counts, statistics, signal traffic) — the
     // basis for the engine's activity-driven clocking.
@@ -110,7 +109,7 @@ class Box
     //    box that does not opt in is simply always clocked.
     //  - Work that begins at a known future cycle while the box is
     //    otherwise idle must be announced with wakeAt(); the
-    //    scheduler guarantees the box is clocked no later than the
+    //    clock loop guarantees the box is clocked no later than the
     //    announced cycle.  A box that is busy() until the work lands
     //    never needs wakeAt().
     //  - Input traffic needs no reporting: every registered input
@@ -132,7 +131,7 @@ class Box
     Cycle nextWake() const { return _nextWake; }
 
     /**
-     * True when the scheduler may skip this box at @p cycle: not
+     * True when the clock loop may skip this box at @p cycle: not
      * busy, no wakeup due, and no object in flight on any input
      * signal.  An object is counted from the moment its writer
      * commits until it is read, so a sleeping consumer is clocked
@@ -154,7 +153,7 @@ class Box
     }
 
     /**
-     * Scheduler entry point for phase A: clears an expired wakeup
+     * Clock-loop entry point for phase A: clears an expired wakeup
      * hint (the box re-arms it from update() when needed) and runs
      * update().
      */
@@ -164,12 +163,7 @@ class Box
         if (cycle >= _nextWake)
             _nextWake = NoWake;
         if constexpr (kEventTraceCompiled) {
-            // Activity span bookkeeping.  The fields are only ever
-            // touched by the one thread clocking this box this cycle
-            // (phase A) or by the simulator thread during the skip
-            // pass / at trace finish, when no worker is inside a
-            // phase — the scheduler's end-of-cycle barrier orders
-            // the two.
+            // Activity span bookkeeping.
             if (_eventTrace) [[unlikely]] {
                 if (!_spanOpen) {
                     _eventTrace->emit(EventKind::SpanBegin, cycle,
@@ -183,13 +177,9 @@ class Box
     }
 
     /**
-     * Per-cycle skip latch, written by the scheduler's skip pass
-     * before any box is clocked and read back in phase B so a
-     * skipped box also skips propagate().  Under the partitioned
-     * parallel engine the decisions are made on the simulator thread
-     * before the workers are dispatched (and any error-path write by
-     * a worker is ordered by the partition's update counter), so the
-     * latch needs no synchronization of its own.
+     * Per-cycle skip latch, written by the skip pass before any box
+     * is clocked and read back in phase B so a skipped box also
+     * skips propagate().
      */
     void
     markSkipped(bool skipped)
@@ -207,7 +197,7 @@ class Box
     /**
      * Install the event trace sink and this box's registered id
      * (Simulator::enableEventTrace).  Activity spans are recorded
-     * from the scheduler's clock/skip decisions without any help
+     * from the clock/skip decisions without any help
      * from the subclass.
      */
     void
@@ -227,9 +217,9 @@ class Box
 
     /**
      * Close an open activity span one cycle past the last clocked
-     * cycle.  Called on the simulator thread when the box is skipped
-     * and at trace collection, so spans of boxes that never go idle
-     * still terminate.
+     * cycle.  Called when the box is skipped and at trace
+     * collection, so spans of boxes that never go idle still
+     * terminate.
      */
     void
     finishEventSpan()
@@ -241,20 +231,6 @@ class Box
                 _spanOpen = false;
             }
         }
-    }
-
-    /** Input signals registered for this box (read-only). */
-    const std::vector<Signal*>& inputSignals() const
-    {
-        return _inputSignals;
-    }
-
-    /** Output signals registered for this box (read-only); with the
-     * binder's single-reader rule this is what lets the scheduler
-     * recover the box connectivity graph at bind time. */
-    const std::vector<Signal*>& outputSignals() const
-    {
-        return _outputSignals;
     }
 
   protected:

@@ -80,19 +80,45 @@ class ClockDomain
         return tick % _divider == 0;
     }
 
-    /** Complete one domain cycle. */
-    void advance() { ++_cycle; }
+    /**
+     * Run the domain's current cycle: phase A (update) for every
+     * box, then phase B (propagate), then advance the cycle counter.
+     * Every signal has latency >= 1 and writes are published only in
+     * phase B, so the order of boxes within a phase cannot change the
+     * modelled behaviour.
+     *
+     * With @p idleSkip, boxes that are provably idle (Box::idleAt)
+     * skip both phases, and whether every box was skipped is recorded
+     * for the simulator's fast-forward check.  Without it every box
+     * runs both phases: the always-clock reference path, with
+     * identical observables.
+     */
+    void
+    clock(bool idleSkip)
+    {
+        bool allIdle = true;
+        for (Box* box : _boxes) {
+            const bool skip = idleSkip && box->idleAt(_cycle);
+            box->markSkipped(skip);
+            if (!skip) {
+                allIdle = false;
+                box->beginUpdate(_cycle);
+            }
+        }
+        for (Box* box : _boxes) {
+            if (!box->skipped())
+                box->propagate(_cycle);
+        }
+        _lastAllIdle = allIdle;
+        ++_cycle;
+    }
 
     /** Complete @p n domain cycles at once (whole-domain
      * fast-forward: the skipped cycles clock no boxes). */
     void advanceBy(u64 n) { _cycle += n; }
 
-    /**
-     * Record whether the last clockDomain() pass skipped every box.
-     * Written by the scheduler, read by the simulator's fast-forward
-     * check.
-     */
-    void noteAllIdle(bool idle) { _lastAllIdle = idle; }
+    /** Whether the last clock() skipped every box; read by the
+     * simulator's fast-forward check. */
     bool lastAllIdle() const { return _lastAllIdle; }
 
     /** Earliest wakeup scheduled by any box, or Box::NoWake. */

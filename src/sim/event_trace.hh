@@ -3,15 +3,12 @@
  * EventTrace: low-overhead structured binary event recording.
  *
  * Where the text signal trace (sim/signal_trace.hh) pays a mutex and
- * an ofstream per record — and therefore forces the serial scheduler
- * — the event trace records fixed-size 32-byte events into per-thread
- * chunks with no lock on the hot path.  Workers under the partitioned
- * parallel scheduler each append to their own chunk; collect() merges
- * the chunks and sorts by cycle, so the trace works identically under
- * serial and parallel clocking.
+ * an ofstream per record, the event trace records fixed-size 32-byte
+ * events into per-thread chunks with no lock on the hot path;
+ * collect() merges the chunks and sorts by cycle.
  *
  * Four event families are recorded:
- *  - box activity spans (SpanBegin/SpanEnd) from the scheduler's
+ *  - box activity spans (SpanBegin/SpanEnd) from the clock loop's
  *    clock/skip decisions — unit utilization timelines;
  *  - signal occupancy (SignalWrite), one event per object published
  *    into a wire, carrying the object's id and parent cookie so the
@@ -108,9 +105,8 @@ struct EventTraceData
 /**
  * The recording sink.  Unit name registration and collect() run on
  * the simulator thread (enable time / between cycles); emit() may run
- * from any worker thread concurrently with other emitters, never
- * concurrently with collect().  The scheduler's end-of-cycle barrier
- * provides that separation for free.
+ * from any thread concurrently with other emitters, never
+ * concurrently with collect().
  */
 class EventTrace
 {

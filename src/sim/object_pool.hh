@@ -8,25 +8,15 @@
  * that create millions of short-lived fragments per second use a pool
  * to avoid allocator churn.
  *
- * The freelist is sharded per thread: each thread owns one shard
- * (indexed by a process-wide thread slot) that only it pushes to and
- * pops from, so the common acquire/release path takes no lock and
- * touches no shared cache line.  An object acquired on one thread
- * and released on another simply migrates to the releasing thread's
- * shard.  Threads beyond the shard count (and shard refills) fall
- * back to a mutex-protected overflow list.  Handing an object
- * between threads is always synchronized externally — by the signal
- * phase barrier in the simulator, or by the shared_ptr refcount for
- * the final release — so shard contents never race.
+ * Not thread-safe: a pool and every object it hands out are used by
+ * one thread at a time.  Every pool is a member of one box, so this
+ * is the Gpu's own contract (see sim/simulator.hh).
  */
 
 #ifndef ATTILA_SIM_OBJECT_POOL_HH
 #define ATTILA_SIM_OBJECT_POOL_HH
 
-#include <array>
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -38,9 +28,9 @@ namespace attila::sim
 /**
  * Freelist-backed pool for objects of type T.
  *
- * The pool must outlive every object it hands out; objects released
- * after the pool is destroyed are freed normally (the recycling
- * deleter keeps the freelists alive until the last object dies).
+ * Objects released after the pool is destroyed are freed normally
+ * (the recycling deleter keeps the freelist alive until the last
+ * object dies).
  */
 template <typename T>
 class ObjectPool
@@ -53,25 +43,12 @@ class ObjectPool
     std::shared_ptr<T>
     acquire(Args&&... args)
     {
-        auto& st = *_state;
+        State& st = *_state;
         T* raw = nullptr;
-        const u32 slot = threadSlot();
-        if (slot < kShards) {
-            Shard& shard = st.shards[slot];
-            if (!shard.free.empty()) {
-                raw = shard.free.back();
-                shard.free.pop_back();
-                shard.count.store(shard.free.size(),
-                                  std::memory_order_relaxed);
-            } else if (st.overflowCount.load(
-                           std::memory_order_relaxed) != 0) {
-                raw = st.popOverflow();
-            }
-        } else {
-            raw = st.popOverflow();
-        }
-        if (raw) {
-            st.recycled.fetch_add(1, std::memory_order_relaxed);
+        if (!st.free.empty()) {
+            raw = st.free.back();
+            st.free.pop_back();
+            ++st.recycled;
             // Types with a poolReset() keep their heap buffers
             // (payload vectors, strings) across recycling; everything
             // else re-runs the constructor in place.
@@ -83,120 +60,39 @@ class ObjectPool
                 new (raw) T(std::forward<Args>(args)...);
             }
         } else {
-            st.allocated.fetch_add(1, std::memory_order_relaxed);
+            ++st.allocated;
             raw = static_cast<T*>(::operator new(sizeof(T)));
             new (raw) T(std::forward<Args>(args)...);
         }
         // The deleter holds the state alive, so a release after the
         // pool object itself is gone still just parks the storage
         // (freed when the last outstanding object dies).
-        return std::shared_ptr<T>(raw, [st = _state](T* p) {
-            const u32 s = threadSlot();
-            if (s < kShards) {
-                Shard& shard = st->shards[s];
-                shard.free.push_back(p);
-                shard.count.store(shard.free.size(),
-                                  std::memory_order_relaxed);
-            } else {
-                std::lock_guard<std::mutex> lock(st->overflowMutex);
-                st->overflow.push_back(p);
-                st->overflowCount.store(
-                    st->overflow.size(), std::memory_order_relaxed);
-            }
-        });
+        return std::shared_ptr<T>(
+            raw, [st = _state](T* p) { st->free.push_back(p); });
     }
-
-    // Counter accessors use relaxed atomics so reporting while the
-    // simulation is running never contends with the hot path.  They
-    // are exact whenever the pool is quiesced (between runs);
-    // freeCount() may transiently lag a concurrent push/pop.
 
     /** Total number of raw allocations performed. */
-    u64
-    allocated() const
-    {
-        return _state->allocated.load(std::memory_order_relaxed);
-    }
-    /** Number of acquisitions served from a freelist. */
-    u64
-    recycled() const
-    {
-        return _state->recycled.load(std::memory_order_relaxed);
-    }
-    /** Number of objects currently parked across all freelists. */
-    std::size_t
-    freeCount() const
-    {
-        std::size_t total = _state->overflowCount.load(
-            std::memory_order_relaxed);
-        for (const Shard& shard : _state->shards)
-            total += shard.count.load(std::memory_order_relaxed);
-        return total;
-    }
+    u64 allocated() const { return _state->allocated; }
+    /** Number of acquisitions served from the freelist. */
+    u64 recycled() const { return _state->recycled; }
+    /** Number of objects currently parked in the freelist. */
+    std::size_t freeCount() const { return _state->free.size(); }
 
   private:
-    static constexpr u32 kShards = 8;
-
-    /** Per-thread freelist; `free` is touched only by the owning
-     * thread, `count` mirrors its size for freeCount(). */
-    struct alignas(64) Shard
-    {
-        std::vector<T*> free;
-        std::atomic<std::size_t> count{0};
-    };
-
     struct State
     {
         ~State()
         {
-            for (Shard& shard : shards) {
-                for (T* p : shard.free) {
-                    p->~T();
-                    ::operator delete(p);
-                }
-            }
-            for (T* p : overflow) {
+            for (T* p : free) {
                 p->~T();
                 ::operator delete(p);
             }
         }
 
-        T*
-        popOverflow()
-        {
-            std::lock_guard<std::mutex> lock(overflowMutex);
-            if (overflow.empty())
-                return nullptr;
-            T* p = overflow.back();
-            overflow.pop_back();
-            overflowCount.store(overflow.size(),
-                                std::memory_order_relaxed);
-            return p;
-        }
-
-        std::array<Shard, kShards> shards;
-        std::mutex overflowMutex;
-        std::vector<T*> overflow;
-        std::atomic<std::size_t> overflowCount{0};
-        std::atomic<u64> allocated{0};
-        std::atomic<u64> recycled{0};
+        std::vector<T*> free;
+        u64 allocated = 0;
+        u64 recycled = 0;
     };
-
-    /**
-     * Process-wide thread slot: the first kShards distinct threads
-     * that touch any pool each get a dedicated shard index; later
-     * threads share the overflow path.  (Slots are never reused, so
-     * a shard belongs to exactly one thread for the process
-     * lifetime.)
-     */
-    static u32
-    threadSlot()
-    {
-        static std::atomic<u32> next{0};
-        thread_local const u32 slot =
-            next.fetch_add(1, std::memory_order_relaxed);
-        return slot;
-    }
 
     std::shared_ptr<State> _state;
 };

@@ -113,7 +113,7 @@ Signal::publish(Cycle cycle, DynamicObjectPtr obj)
     }
 
     slot.objects.push_back(std::move(obj));
-    _live.fetch_add(1, std::memory_order_relaxed);
+    ++_live;
     ++_totalWrites;
     if (_writeStat)
         _writeStat->inc();
@@ -149,7 +149,7 @@ Signal::canWriteBuffered(Cycle cycle) const
 u64
 Signal::inFlight() const
 {
-    return _pending.size() + _live.load(std::memory_order_relaxed);
+    return _pending.size() + _live;
 }
 
 } // namespace attila::sim

@@ -16,16 +16,15 @@
  * buffer and only published into the delivery slots by commit(),
  * which the writer box runs in its propagate phase.  Because every
  * latency is >= 1 this does not change the modelled timing, but it
- * removes every same-cycle ordering hazard between boxes, which is
- * what makes parallel clocking safe.  Standalone signals (unit
- * tests) default to immediate mode, where write() publishes
- * directly.
+ * removes every same-cycle ordering hazard between boxes, so the
+ * order in which boxes are clocked within a cycle cannot matter.
+ * Standalone signals (unit tests) default to immediate mode, where
+ * write() publishes directly.
  */
 
 #ifndef ATTILA_SIM_SIGNAL_HH
 #define ATTILA_SIM_SIGNAL_HH
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -95,7 +94,7 @@ class Signal
     DynamicObjectPtr
     read(Cycle cycle)
     {
-        if (_live.load(std::memory_order_relaxed) == 0)
+        if (_live == 0)
             return nullptr;
         Slot& slot = _slots[cycle & _slotMask];
         if (slot.objects.empty() || slot.arrival != cycle ||
@@ -104,7 +103,7 @@ class Signal
         }
         DynamicObjectPtr obj = std::move(slot.objects[slot.readIndex]);
         ++slot.readIndex;
-        _live.fetch_sub(1, std::memory_order_relaxed);
+        --_live;
         ++_totalReads;
         if (slot.drained()) {
             slot.objects.clear();
@@ -117,7 +116,7 @@ class Signal
     u32
     pendingAt(Cycle cycle) const
     {
-        if (_live.load(std::memory_order_relaxed) == 0)
+        if (_live == 0)
             return 0;
         const Slot& slot = _slots[cycle & _slotMask];
         if (slot.objects.empty() || slot.arrival != cycle)
@@ -134,10 +133,10 @@ class Signal
 
     /**
      * Publish all writes staged since the last commit.  Called by the
-     * writer box's propagate phase; only the writer's thread may call
-     * this.  Throws SimError on the data-loss check.  Inline no-op
-     * when nothing is staged — the scheduler commits every output of
-     * every active box each cycle, and most have nothing pending.
+     * writer box's propagate phase.  Throws SimError on the data-loss
+     * check.  Inline no-op when nothing is staged — every active box
+     * commits every output each cycle, and most have nothing
+     * pending.
      */
     void
     commit()
@@ -166,20 +165,9 @@ class Signal
      * of every candidate box each cycle.  Staged (uncommitted)
      * writes are deliberately *not* counted: they belong to the
      * writer's in-progress cycle and only become observable once the
-     * writer commits.  The counter is a relaxed atomic because under
-     * the partitioned parallel engine a writer's commit (owner
-     * partition, phase B) may overlap another partition's phase A
-     * that reads the same wire: the delivery slots stay disjoint
-     * (a commit at cycle c lands at c + latency >= c + 1, never the
-     * slot read at c), so the counter is the only shared word.  A
-     * racy load can only miss a same-cycle commit, whose object is
-     * unreadable this cycle anyway — results stay deterministic.
+     * writer commits.
      */
-    bool
-    fastEmpty() const
-    {
-        return _live.load(std::memory_order_relaxed) == 0;
-    }
+    bool fastEmpty() const { return _live == 0; }
 
     /** Attach a trace writer; every write is then recorded. */
     void setTracer(SignalTraceWriter* tracer) { _tracer = tracer; }
@@ -189,9 +177,7 @@ class Signal
 
     /**
      * Attach the structured event trace under unit id @p id; every
-     * published object then emits one SignalWrite event.  Unlike the
-     * text tracer this records into the publishing thread's chunk,
-     * so it is safe under the parallel scheduler.
+     * published object then emits one SignalWrite event.
      */
     void
     setEventTrace(EventTrace* trace, u16 id)
@@ -251,12 +237,8 @@ class Signal
     u16 _eventTraceId = 0;
     u64 _totalWrites = 0;
     u64 _totalReads = 0;
-    /** Committed-but-unread objects across all slots; see
-     * fastEmpty() for the threading contract.  Relaxed atomic: the
-     * single writer increments (commit) and the single reader
-     * decrements (read); cross-thread observers only ever use it as
-     * a conservative emptiness hint. */
-    std::atomic<u64> _live{0};
+    /** Committed-but-unread objects across all slots. */
+    u64 _live = 0;
 };
 
 } // namespace attila::sim

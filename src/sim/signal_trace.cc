@@ -121,7 +121,6 @@ void
 SignalTraceWriter::record(Cycle cycle, const std::string& signal_name,
                           const DynamicObject& obj)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     _out << cycle << '|' << escapeField(signal_name) << '|'
          << obj.id() << '|' << escapeField(obj.trailString()) << '|'
          << obj.color() << '|' << escapeField(obj.info()) << '\n';
@@ -131,7 +130,6 @@ SignalTraceWriter::record(Cycle cycle, const std::string& signal_name,
 void
 SignalTraceWriter::flush()
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     _out.flush();
 }
 

@@ -14,7 +14,6 @@
 
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -32,12 +31,7 @@ class SignalTraceWriter
     explicit SignalTraceWriter(const std::string& path);
     ~SignalTraceWriter();
 
-    /**
-     * Record one object entering @p signal_name at @p cycle.
-     * Serialized internally; note that record *order* is only
-     * deterministic under the serial scheduler (the Gpu forces it
-     * when tracing is enabled).
-     */
+    /** Record one object entering @p signal_name at @p cycle. */
     void record(Cycle cycle, const std::string& signal_name,
                 const DynamicObject& obj);
 
@@ -47,7 +41,6 @@ class SignalTraceWriter
     u64 recordCount() const { return _records; }
 
   private:
-    std::mutex _mutex;
     std::ofstream _out;
     u64 _records = 0;
 };

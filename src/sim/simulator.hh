@@ -2,18 +2,14 @@
  * @file
  * Simulator: the clock loop driving boxes and signals.
  *
- * The simulator owns the signal binder, the statistic manager, the
- * clock domains grouping the boxes, and the scheduler that advances
- * them.  Because every inter-box signal has latency >= 1 and boxes
- * follow the two-phase update/propagate lifecycle, the order in
- * which boxes are clocked within a cycle does not affect the
- * modelled behaviour — which is what lets the scheduler clock them
- * serially or across a worker pool with bit-identical results.
+ * The simulator owns the signal binder, the statistic manager and
+ * the clock domains grouping the boxes.  Each master tick clocks
+ * every domain whose divider matches (ClockDomain::clock: phase A for
+ * every box, then phase B), then closes the statistics window.
  *
- * Each master tick advances every clock domain whose divider
- * matches; statistics window bookkeeping runs after phase B on the
- * simulator thread, so counters are only ever touched by one thread
- * at a time.
+ * A Simulator, and every object its model hands out, is used by one
+ * thread at a time.  Independent Simulators may run on different
+ * threads.
  */
 
 #ifndef ATTILA_SIM_SIMULATOR_HH
@@ -27,7 +23,6 @@
 #include "sim/box.hh"
 #include "sim/clock_domain.hh"
 #include "sim/event_trace.hh"
-#include "sim/scheduler.hh"
 #include "sim/signal_binder.hh"
 #include "sim/signal_trace.hh"
 #include "sim/statistics.hh"
@@ -40,7 +35,6 @@ class Simulator
 {
   public:
     Simulator()
-        : _scheduler(std::make_unique<SerialScheduler>())
     {
         // Simulator-driven models always use the two-phase write
         // protocol; standalone binders (unit tests) stay immediate.
@@ -92,32 +86,13 @@ class Simulator
     }
 
     /**
-     * Install the engine that clocks the domains.  Defaults to
-     * SerialScheduler.
-     */
-    void
-    setScheduler(std::unique_ptr<Scheduler> scheduler)
-    {
-        if (!scheduler)
-            fatal("setScheduler: null scheduler");
-        _scheduler = std::move(scheduler);
-        _scheduler->setIdleSkip(_idleSkip);
-    }
-
-    Scheduler& scheduler() { return *_scheduler; }
-
-    /**
      * Enable or disable activity-driven clocking (default on):
-     * per-box idle skipping in the scheduler plus the whole-model
-     * fast-forward in run().  Off restores the always-clock
-     * reference path; observables are identical either way.
+     * per-box idle skipping in ClockDomain::clock plus the
+     * whole-model fast-forward in run().  Off restores the
+     * always-clock reference path; observables are identical either
+     * way.
      */
-    void
-    setIdleSkip(bool enable)
-    {
-        _idleSkip = enable;
-        _scheduler->setIdleSkip(enable);
-    }
+    void setIdleSkip(bool enable) { _idleSkip = enable; }
 
     bool idleSkip() const { return _idleSkip; }
 
@@ -133,13 +108,12 @@ class Simulator
 
     /**
      * Enable structured event tracing: register every box (span
-     * events come from the scheduler's clock/skip decisions), give
+     * events come from the clock/skip decisions), give
      * each box the chance to wire unit-level emitters
      * (attachEventTrace), and attach the trace to every signal.
      * Call after all boxes are in their domains; boxes and signals
      * added later are still picked up via the binder and explicit
-     * attachment, but ids assigned here are deterministic.  Unlike
-     * the text signal trace this does not constrain the scheduler.
+     * attachment, but ids assigned here are deterministic.
      */
     void
     enableEventTrace()
@@ -162,8 +136,7 @@ class Simulator
 
     /**
      * Close all open activity spans at the current cycle and return
-     * the merged, cycle-sorted trace snapshot.  Run between steps on
-     * the simulator thread (no worker is inside a phase then);
+     * the merged, cycle-sorted trace snapshot.  Run between steps;
      * recording continues afterwards if the model keeps running.
      */
     EventTraceData
@@ -187,11 +160,7 @@ class Simulator
     {
         for (auto& d : _domains) {
             if (d->ticksAt(_tick))
-                _scheduler->clockDomain(*d, d->cycle());
-        }
-        for (auto& d : _domains) {
-            if (d->ticksAt(_tick))
-                d->advance();
+                d->clock(_idleSkip);
         }
         ++_tick;
         _stats.cycle(_tick);
@@ -294,7 +263,6 @@ class Simulator
     SignalBinder _binder;
     StatisticManager _stats;
     std::vector<std::unique_ptr<ClockDomain>> _domains;
-    std::unique_ptr<Scheduler> _scheduler;
     std::unique_ptr<SignalTraceWriter> _tracer;
     std::unique_ptr<EventTrace> _eventTrace;
     Cycle _tick = 0;

@@ -28,7 +28,7 @@ StatisticManager::get(const std::string& box_name,
 const Statistic*
 StatisticManager::find(const std::string& full_name) const
 {
-    // get() may insert from any worker thread (boxes register
+    // get() may insert from another thread (boxes register
     // statistics lazily), so every map traversal needs the registry
     // lock — an unlocked find() races the rebalancing of the tree.
     std::lock_guard<std::mutex> lock(_registry);

@@ -119,17 +119,13 @@ class BatchedStat
 /**
  * Name server that registers, samples and dumps statistics.
  *
- * Threading contract under the parallel scheduler: every method that
- * touches the registry map (get(), find(), names(), the CSV dumps
- * and closeAllWindows()) takes the registry mutex, so lookups may
- * run from any thread concurrently with worker-side registration.
- * The *contents* of a Statistic are not locked: each Statistic is
- * incremented only by the box that registered it (one owner per
- * counter, signal write counters belong to the signal's single
- * writer), and window closing / CSV dumping runs on the simulator
- * thread between cycles, when no worker is inside a phase — so a
- * pointer returned by find() is safe to read only under that same
- * quiescence rule.
+ * Threading contract: every method that touches the registry map
+ * (get(), find(), names(), the CSV dumps and closeAllWindows()) takes
+ * the registry mutex, so lookups may run from any thread concurrently
+ * with registration.  The *contents* of a Statistic are not locked:
+ * they belong to the thread running the model, and a pointer
+ * returned by find() is safe to read from another thread only while
+ * the model is not being clocked.
  */
 class StatisticManager
 {

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/box.hh"
-#include "sim/scheduler.hh"
 #include "sim/signal.hh"
 #include "sim/signal_binder.hh"
 #include "sim/simulator.hh"
@@ -110,13 +109,6 @@ class SleepyConsumer : public Box
     Statistic& _stat;
 };
 
-void
-runWithScheduler(Simulator& sim, bool parallel)
-{
-    if (parallel)
-        sim.setScheduler(std::make_unique<ParallelScheduler>(2));
-}
-
 } // anonymous namespace
 
 // A box that hints wakeAt(c) must be clocked at cycle c even when
@@ -124,17 +116,14 @@ runWithScheduler(Simulator& sim, bool parallel)
 // never jump past a scheduled wakeup.
 TEST(Activity, WakeAtNeverSkippedPastWakeup)
 {
-    for (const bool parallel : {false, true}) {
-        Simulator sim;
-        PeriodicBox box(sim.binder(), sim.stats(), "periodic", 10);
-        sim.addBox(&box);
-        runWithScheduler(sim, parallel);
-        sim.run(95);
-        ASSERT_EQ(box.updates.size(), 10u) << "parallel=" << parallel;
-        for (u64 i = 0; i < box.updates.size(); ++i)
-            EXPECT_EQ(box.updates[i], i * 10);
-        EXPECT_EQ(sim.cycle(), 95u);
-    }
+    Simulator sim;
+    PeriodicBox box(sim.binder(), sim.stats(), "periodic", 10);
+    sim.addBox(&box);
+    sim.run(95);
+    ASSERT_EQ(box.updates.size(), 10u);
+    for (u64 i = 0; i < box.updates.size(); ++i)
+        EXPECT_EQ(box.updates[i], i * 10);
+    EXPECT_EQ(sim.cycle(), 95u);
 }
 
 // With idle skipping off the box is clocked every cycle; the wakeAt
@@ -154,20 +143,16 @@ TEST(Activity, IdleSkipOffClocksEveryCycle)
 // from the consumer.
 TEST(Activity, SignalDeliveryReactivatesSleepingConsumer)
 {
-    for (const bool parallel : {false, true}) {
-        Simulator sim;
-        OneShotProducer prod(sim.binder(), sim.stats(), "prod",
-                             "wire", /*fireAt=*/5, /*latency=*/3);
-        SleepyConsumer cons(sim.binder(), sim.stats(), "cons",
-                            "wire", /*latency=*/3);
-        sim.addBox(&prod);
-        sim.addBox(&cons);
-        runWithScheduler(sim, parallel);
-        sim.run(20);
-        ASSERT_EQ(cons.receivedAt.size(), 1u)
-            << "parallel=" << parallel;
-        EXPECT_EQ(cons.receivedAt[0], 8u);
-    }
+    Simulator sim;
+    OneShotProducer prod(sim.binder(), sim.stats(), "prod", "wire",
+                         /*fireAt=*/5, /*latency=*/3);
+    SleepyConsumer cons(sim.binder(), sim.stats(), "cons", "wire",
+                        /*latency=*/3);
+    sim.addBox(&prod);
+    sim.addBox(&cons);
+    sim.run(20);
+    ASSERT_EQ(cons.receivedAt.size(), 1u);
+    EXPECT_EQ(cons.receivedAt[0], 8u);
 }
 
 // Fast-forwarding over idle stretches must close exactly the same

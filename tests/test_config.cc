@@ -94,9 +94,9 @@ TEST(ConfigFile, UnknownKeysAreFatalWithOrigin)
 TEST(ConfigFile, LayeringLaterWins)
 {
     sim::ConfigFile cfg;
-    cfg.parseString("[engine]\nthreads = 2\n", "base.cfg");
-    cfg.setOverride("engine.threads=8", "--set");
-    EXPECT_EQ(cfg.getU32("engine.threads", 0), 8u);
+    cfg.parseString("[stats]\nwindow = 2\n", "base.cfg");
+    cfg.setOverride("stats.window=8", "--set");
+    EXPECT_EQ(cfg.getU32("stats.window", 0), 8u);
 }
 
 TEST(ConfigFile, DumpRoundTrips)
@@ -168,7 +168,7 @@ TEST(GpuConfigText, RoundTripReproducesModifiedConfigs)
     c.dramScheduler = DramSchedPolicy::FrFcfs;
     c.dramTiming = "nbk=4:RCD=9:CL=7";
     c.fragmentGen = FragmentGenKind::Scanline;
-    c.scheduler = SchedulerKind::Parallel;
+    c.idleSkip = false;
     c.signalTracePath = "trace.csv";
     c.statsWindow = 1234567;
     const GpuConfig again =
@@ -240,11 +240,11 @@ TEST(GpuConfigText, ClockSectionLoadsAndRoundTrips)
     EXPECT_EQ(again, c);
     EXPECT_NE(c.configHash(), GpuConfig::baseline().configHash());
 
-    // Scheduler knobs ride the same [engine] section.
-    c.applySet("engine.workSteal=false");
-    c.applySet("engine.partitionSlack=150");
-    EXPECT_FALSE(c.schedWorkSteal);
-    EXPECT_EQ(c.schedPartitionSlack, 150u);
+    // Engine knobs ride the same [engine] section.
+    c.applySet("engine.idleSkip=false");
+    c.applySet("engine.drainPollInterval=150");
+    EXPECT_FALSE(c.idleSkip);
+    EXPECT_EQ(c.drainPollInterval, 150u);
     EXPECT_EQ(GpuConfig::fromConfigText(c.toConfigText()), c);
 }
 
@@ -283,9 +283,9 @@ TEST(GpuConfigText, BadDramTimingFailsAtLoad)
 TEST(GpuConfigText, ApplySetOverridesSingleKey)
 {
     GpuConfig c = GpuConfig::baseline();
-    c.applySet("engine.scheduler=parallel");
+    c.applySet("engine.idleSkip=false");
     c.applySet("memory.frfcfsCap=7");
-    EXPECT_EQ(c.scheduler, SchedulerKind::Parallel);
+    EXPECT_FALSE(c.idleSkip);
     EXPECT_EQ(c.frfcfsCap, 7u);
     EXPECT_THROW(c.applySet("memory.noSuchKey=1"),
                  sim::ConfigError);
@@ -294,20 +294,17 @@ TEST(GpuConfigText, ApplySetOverridesSingleKey)
 
 TEST(GpuConfigText, EnvLayerSitsBetweenFileAndSet)
 {
-    // file sets 2 threads, env overrides to 3, --set wins with 4.
-    // The legacy vars sit in the same env layer and would clobber
-    // ATTILA_CONFIG_SET; clear them so the CI harness (which runs the
-    // whole suite under ATTILA_SCHED_THREADS=4) can't skew this test.
-    unsetenv("ATTILA_SCHEDULER");
-    unsetenv("ATTILA_SCHED_THREADS");
+    // file sets 2, env overrides to 3, --set wins with 4.
     GpuConfig c = GpuConfig::baseline();
-    c.applyText("[engine]\nthreads = 2\n");
-    ASSERT_EQ(setenv("ATTILA_CONFIG_SET", "engine.threads=3", 1), 0);
+    c.applyText("[engine]\ndrainPollInterval = 2\n");
+    ASSERT_EQ(setenv("ATTILA_CONFIG_SET",
+                     "engine.drainPollInterval=3", 1),
+              0);
     c.applyEnvOverrides();
-    EXPECT_EQ(c.schedulerThreads, 3u);
+    EXPECT_EQ(c.drainPollInterval, 3u);
     EXPECT_TRUE(c.envApplied);
-    c.applySet("engine.threads=4");
-    EXPECT_EQ(c.schedulerThreads, 4u);
+    c.applySet("engine.drainPollInterval=4");
+    EXPECT_EQ(c.drainPollInterval, 4u);
     unsetenv("ATTILA_CONFIG_SET");
 }
 

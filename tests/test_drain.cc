@@ -36,8 +36,6 @@ u64
 drainCycle(const gpu::CommandList& list, u32 poll_interval,
            bool idle_skip = true)
 {
-    unsetenv("ATTILA_SCHEDULER");
-    unsetenv("ATTILA_SCHED_THREADS");
     unsetenv("ATTILA_IDLE_SKIP");
     gpu::GpuConfig config = gpu::GpuConfig::baseline();
     config.memorySize = 32u << 20;

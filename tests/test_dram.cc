@@ -1,12 +1,10 @@
 /**
  * @file
  * Banked GDDR DRAM model tests: row hit/miss/conflict latencies,
- * precharge/activate accounting, the FR-FCFS starvation cap and
- * bit-identical determinism of both scheduling policies under the
- * serial and parallel engines.
+ * precharge/activate accounting, the FR-FCFS starvation cap, and
+ * whole-GPU runs under both scheduling policies.
  */
 
-#include <cstdlib>
 #include <functional>
 #include <gtest/gtest.h>
 
@@ -320,7 +318,7 @@ TEST(BankedDram, StarvationCapBoundsBypasses)
     EXPECT_GT(openRun.second, fifoRun.second);
 }
 
-// ===== Determinism (serial vs parallel engines) ===================
+// ===== Whole-GPU runs under both policies ==========================
 
 namespace
 {
@@ -339,18 +337,12 @@ framebufferHash(const Gpu& gpu)
 }
 
 std::pair<u64, u64>
-runBanked(const CommandList& list, DramSchedPolicy policy,
-          SchedulerKind engine)
+runBanked(const CommandList& list, DramSchedPolicy policy)
 {
-    unsetenv("ATTILA_SCHEDULER");
-    unsetenv("ATTILA_SCHED_THREADS");
     GpuConfig config = GpuConfig::baseline();
     config.memorySize = 32u << 20;
     config.memModel = MemModel::Banked;
     config.dramScheduler = policy;
-    config.scheduler = engine;
-    config.schedulerThreads = engine == SchedulerKind::Parallel ? 4
-                                                                : 0;
     Gpu gpu(config);
     gpu.submit(list);
     EXPECT_TRUE(gpu.runUntilIdle(200'000'000))
@@ -360,7 +352,7 @@ runBanked(const CommandList& list, DramSchedPolicy policy,
 
 } // anonymous namespace
 
-TEST(BankedDram, PoliciesDeterministicAcrossEngines)
+TEST(BankedDram, PoliciesRenderTheSameImage)
 {
     workloads::WorkloadParams params;
     params.width = 96;
@@ -374,20 +366,11 @@ TEST(BankedDram, PoliciesDeterministicAcrossEngines)
     workload.renderFrame(ctx, 0);
     const CommandList list = ctx.takeCommands();
 
-    for (const DramSchedPolicy policy :
-         {DramSchedPolicy::Fifo, DramSchedPolicy::FrFcfs}) {
-        const auto serial =
-            runBanked(list, policy, SchedulerKind::Serial);
-        const auto parallel =
-            runBanked(list, policy, SchedulerKind::Parallel);
-        EXPECT_EQ(serial, parallel) << enumName(policy);
-        EXPECT_GT(serial.first, 0u);
-    }
     // The two policies are distinct scenarios: same image, but the
     // schedule (and typically the cycle count) differs.
-    const auto fifo =
-        runBanked(list, DramSchedPolicy::Fifo, SchedulerKind::Serial);
-    const auto frfcfs = runBanked(list, DramSchedPolicy::FrFcfs,
-                                  SchedulerKind::Serial);
+    const auto fifo = runBanked(list, DramSchedPolicy::Fifo);
+    const auto frfcfs = runBanked(list, DramSchedPolicy::FrFcfs);
+    EXPECT_GT(fifo.first, 0u);
+    EXPECT_GT(frfcfs.first, 0u);
     EXPECT_EQ(fifo.second, frfcfs.second);
 }

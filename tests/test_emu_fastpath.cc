@@ -6,7 +6,7 @@
  * opcode, including TEX/TXB/TXP and partial KIL masks), the decode
  * cache must reuse and invalidate entries by program identity, and
  * full workloads must render identical frames and count identical
- * cycles with the fast path on and off, under both schedulers.
+ * cycles with the fast path on and off.
  */
 
 #include <gtest/gtest.h>
@@ -365,15 +365,12 @@ struct RunFingerprint
 };
 
 RunFingerprint
-runGpu(const gpu::CommandList& list, bool fastPath,
-       gpu::SchedulerKind kind, u32 threads)
+runGpu(const gpu::CommandList& list, bool fastPath)
 {
     unsetenv("ATTILA_EMU_FASTPATH");
     gpu::GpuConfig config = gpu::GpuConfig::baseline();
     config.memorySize = 32u << 20;
     config.emuFastPath = fastPath;
-    config.scheduler = kind;
-    config.schedulerThreads = threads;
 
     gpu::Gpu gpu(config);
     gpu.submit(list);
@@ -397,10 +394,8 @@ expectOnOffIdentical(workloads::Workload& workload,
 {
     const gpu::CommandList list = buildCommands(workload, params);
 
-    const RunFingerprint on =
-        runGpu(list, true, gpu::SchedulerKind::Serial, 0);
-    const RunFingerprint off =
-        runGpu(list, false, gpu::SchedulerKind::Serial, 0);
+    const RunFingerprint on = runGpu(list, true);
+    const RunFingerprint off = runGpu(list, false);
     ASSERT_GT(on.cycles, 0u) << label;
     EXPECT_EQ(on.cycles, off.cycles) << label;
     EXPECT_EQ(on.frames, off.frames) << label;
@@ -441,27 +436,6 @@ TEST(EmuFastPath, CubesOnOffIdentical)
     workloads::WorkloadParams params = smallParams();
     workloads::CubesWorkload workload(params);
     expectOnOffIdentical(workload, params, "cubes");
-}
-
-TEST(EmuFastPath, ParallelSchedulerOnOffIdentical)
-{
-    workloads::WorkloadParams params = smallParams();
-    workloads::TerrainWorkload workload(params);
-    const gpu::CommandList list = buildCommands(workload, params);
-
-    const RunFingerprint serialOn =
-        runGpu(list, true, gpu::SchedulerKind::Serial, 0);
-    const RunFingerprint parOn =
-        runGpu(list, true, gpu::SchedulerKind::Parallel, 2);
-    const RunFingerprint parOff =
-        runGpu(list, false, gpu::SchedulerKind::Parallel, 2);
-
-    EXPECT_EQ(parOn.cycles, serialOn.cycles);
-    EXPECT_EQ(parOn.fbHash, serialOn.fbHash);
-    EXPECT_EQ(parOn.totalsCsv, serialOn.totalsCsv);
-    EXPECT_EQ(parOn.cycles, parOff.cycles);
-    EXPECT_EQ(parOn.fbHash, parOff.fbHash);
-    EXPECT_EQ(parOn.totalsCsv, parOff.totalsCsv);
 }
 
 } // anonymous namespace

@@ -258,8 +258,7 @@ TEST(EventTrace, GpuAggregatesMatchStats)
 {
     // The acceptance check: per-window aggregates computed from the
     // trace alone must reproduce the StatisticManager's series for
-    // every signal/cache/shader counter — under whatever scheduler
-    // the environment selects (CI reruns this under parallel(4)).
+    // every signal/cache/shader counter.
     const auto params = tinyParams();
     const auto commands = recordCubes(params);
     gpu::Gpu gpu(tracedConfig());
@@ -276,35 +275,6 @@ TEST(EventTrace, GpuAggregatesMatchStats)
     for (const std::string& m : mismatches)
         ADD_FAILURE() << m;
     EXPECT_GT(series.counts.size(), 100u);
-}
-
-TEST(EventTrace, SerialAndParallelAggregateIdentically)
-{
-    // Object ids differ between schedulers (the id counter is
-    // global), but the aggregated per-window counts are observables
-    // and must come out identical.
-    const auto params = tinyParams();
-    const auto commands = recordCubes(params);
-
-    auto runWith = [&](gpu::SchedulerKind kind, u32 threads) {
-        gpu::GpuConfig config = tracedConfig();
-        config.applyEnvOverrides(); // Pin: env must not flip kind.
-        config.scheduler = kind;
-        config.schedulerThreads = threads;
-        gpu::Gpu gpu(config);
-        gpu.submit(commands);
-        EXPECT_TRUE(gpu.runUntilIdle(50'000'000));
-        const u64 cycles = gpu.cycle();
-        const TraceSeries series =
-            aggregateTrace(gpu.simulator().finishEventTrace(),
-                           config.statsWindow);
-        return std::make_pair(cycles, series.counts);
-    };
-
-    const auto serial = runWith(gpu::SchedulerKind::Serial, 1);
-    const auto parallel = runWith(gpu::SchedulerKind::Parallel, 2);
-    EXPECT_EQ(serial.first, parallel.first);
-    EXPECT_EQ(serial.second, parallel.second);
 }
 
 TEST(EventTrace, TraceOnOffBitIdentical)

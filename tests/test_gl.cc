@@ -414,3 +414,44 @@ TEST(Trace, RejectsCorruptFile)
     EXPECT_THROW(TracePlayer player(path), FatalError);
     std::remove(path.c_str());
 }
+
+namespace
+{
+
+/** Write a trace with a valid magic followed by one raw record. */
+void
+writeRawTrace(const std::string& path, u16 op, u32 blob_size,
+              u32 padding)
+{
+    std::ofstream out(path, std::ios::binary);
+    out.write("AGLTRC01", 8);
+    const u8 nscalars = 0;
+    out.write(reinterpret_cast<const char*>(&op), sizeof(op));
+    out.write(reinterpret_cast<const char*>(&nscalars), 1);
+    out.write(reinterpret_cast<const char*>(&blob_size),
+              sizeof(blob_size));
+    const std::string pad(padding, '\0');
+    out.write(pad.data(), static_cast<std::streamsize>(pad.size()));
+}
+
+} // anonymous namespace
+
+TEST(Trace, RejectsBlobLongerThanFile)
+{
+    // A 0xFFFFFFFF-byte blob in a file of a few dozen bytes must be
+    // rejected before anything is allocated for it.
+    const std::string path = "test_gl_trace4.tmp";
+    writeRawTrace(path, 0, 0xFFFFFFFFu, 24);
+    EXPECT_THROW(TracePlayer player(path), FatalError);
+    std::remove(path.c_str());
+}
+
+TEST(Trace, RejectsUnknownOpcode)
+{
+    const std::string path = "test_gl_trace5.tmp";
+    // A well-formed record (empty blob, empty text) whose opcode is
+    // one past the last TraceOp.
+    writeRawTrace(path, numTraceOps, 0, 4);
+    EXPECT_THROW(TracePlayer player(path), FatalError);
+    std::remove(path.c_str());
+}

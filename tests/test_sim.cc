@@ -362,7 +362,7 @@ TEST(SignalTrace, ActivityWindowIsHalfOpen)
 
 TEST(Statistics, ConcurrentGetAndFind)
 {
-    // get() may insert from worker threads while other workers call
+    // get() may insert from some threads while others call
     // find()/names(); every registry accessor must take the lock.
     // Run under TSan this is the regression test for the find() race.
     StatisticManager stats;
@@ -597,13 +597,11 @@ class FaultyBox : public Box
     Cycle _fault;
 };
 
-/** Run a N-producer/N-sink mesh under `scheduler`, return the stats
- * totals CSV and received counts. */
-std::string
-runMesh(std::unique_ptr<Scheduler> scheduler, u64 cycles)
+} // anonymous namespace
+
+TEST(Simulator, MeshDeliversEveryObject)
 {
     Simulator sim;
-    sim.setScheduler(std::move(scheduler));
     std::vector<std::unique_ptr<PulseBox>> producers;
     std::vector<std::unique_ptr<SinkBox>> sinks;
     for (u32 i = 0; i < 6; ++i) {
@@ -617,33 +615,20 @@ runMesh(std::unique_ptr<Scheduler> scheduler, u64 cycles)
         sim.addBox(producers.back().get());
         sim.addBox(sinks.back().get());
     }
-    sim.run(cycles);
+    sim.run(32);
     EXPECT_TRUE(sim.quiescent());
-    std::ostringstream os;
-    sim.stats().writeTotalsCsv(os);
-    for (u32 i = 0; i < 6; ++i)
+    for (u32 i = 0; i < 6; ++i) {
         EXPECT_EQ(sinks[i]->received, 10 + i);
-    return os.str();
+        EXPECT_EQ(sim.stats()
+                      .find("sink" + std::to_string(i) + ".received")
+                      ->total(),
+                  10 + i);
+    }
 }
 
-} // anonymous namespace
-
-TEST(Scheduler, ParallelMatchesSerialOnMesh)
-{
-    const std::string serial =
-        runMesh(std::make_unique<SerialScheduler>(), 32);
-    const std::string par2 =
-        runMesh(std::make_unique<ParallelScheduler>(2), 32);
-    const std::string par4 =
-        runMesh(std::make_unique<ParallelScheduler>(4), 32);
-    EXPECT_EQ(serial, par2);
-    EXPECT_EQ(serial, par4);
-}
-
-TEST(Scheduler, ParallelPropagatesWorkerErrors)
+TEST(Simulator, BoxErrorSurfacesFromStep)
 {
     Simulator sim;
-    sim.setScheduler(std::make_unique<ParallelScheduler>(4));
     std::vector<std::unique_ptr<FaultyBox>> boxes;
     for (u32 i = 0; i < 8; ++i) {
         boxes.push_back(std::make_unique<FaultyBox>(
@@ -653,181 +638,6 @@ TEST(Scheduler, ParallelPropagatesWorkerErrors)
     }
     sim.run(3);
     EXPECT_THROW(sim.step(), SimError);
-}
-
-namespace
-{
-
-/** Emits `perCycle` sequence-stamped objects per cycle (the color
- * carries the sequence number, so arrival order is observable). */
-class SeqPulseBox : public Box
-{
-  public:
-    SeqPulseBox(SignalBinder& binder, StatisticManager& stats,
-                std::string name, std::string wire, u32 count,
-                u32 per_cycle)
-        : Box(binder, stats, std::move(name)), _count(count),
-          _perCycle(per_cycle)
-    {
-        _out = output(std::move(wire), per_cycle, 1);
-    }
-
-    void
-    update(Cycle cycle) override
-    {
-        if (_sent >= _count)
-            return;
-        for (u32 i = 0; i < _perCycle; ++i) {
-            auto obj = makeObj();
-            obj->setColor(_seq++);
-            _out->write(cycle, std::move(obj));
-        }
-        ++_sent;
-    }
-
-    bool empty() const override { return _sent >= _count; }
-
-  private:
-    Signal* _out;
-    u32 _count;
-    u32 _perCycle;
-    u32 _sent = 0;
-    u32 _seq = 0;
-};
-
-/** Drains several wires in a fixed order and hashes the sequence
- * stamps in arrival order: any scheduler that perturbs per-signal
- * commit order (or the sink's read order) changes the hash. */
-class OrderHashSink : public Box
-{
-  public:
-    OrderHashSink(SignalBinder& binder, StatisticManager& stats,
-                  std::string name,
-                  const std::vector<std::string>& wires, u32 bandwidth)
-        : Box(binder, stats, std::move(name))
-    {
-        for (const std::string& wire : wires)
-            _ins.push_back(input(wire, bandwidth, 1));
-    }
-
-    void
-    update(Cycle cycle) override
-    {
-        for (Signal* in : _ins) {
-            while (DynamicObjectPtr obj = in->read(cycle)) {
-                hash ^= obj->color() + 1;
-                hash *= 1099511628211ull;
-            }
-        }
-    }
-
-    std::vector<Signal*> _ins;
-    u64 hash = 1469598103934665603ull;
-};
-
-/** Run the fan-in ordering mesh (4 stamped producers, one ordering
- * sink) under @p scheduler and return the arrival-order hash. */
-u64
-runOrderMesh(std::unique_ptr<Scheduler> scheduler)
-{
-    Simulator sim;
-    sim.setScheduler(std::move(scheduler));
-    std::vector<std::string> wires;
-    std::vector<std::unique_ptr<SeqPulseBox>> producers;
-    for (u32 i = 0; i < 4; ++i) {
-        wires.push_back("ow" + std::to_string(i));
-        producers.push_back(std::make_unique<SeqPulseBox>(
-            sim.binder(), sim.stats(), "seq" + std::to_string(i),
-            wires.back(), 12 + i, 2));
-        sim.addBox(producers.back().get());
-    }
-    OrderHashSink sink(sim.binder(), sim.stats(), "ordersink", wires,
-                       2);
-    sim.addBox(&sink);
-    sim.run(24);
-    EXPECT_TRUE(sim.quiescent());
-    return sink.hash;
-}
-
-} // anonymous namespace
-
-TEST(Scheduler, PartitionAssignmentDeterministic)
-{
-    // Two engines over two identically-wired models must produce the
-    // same partitioning (the bench/test bit-identity story depends
-    // on it), and connected producer/sink pairs must land in the
-    // same partition — their edge is the only traffic, so cutting it
-    // would be a partitioning bug.
-    const auto build = [](Simulator& sim,
-                          std::vector<std::unique_ptr<PulseBox>>& ps,
-                          std::vector<std::unique_ptr<SinkBox>>& ss) {
-        for (u32 i = 0; i < 6; ++i) {
-            const std::string wire = "pw" + std::to_string(i);
-            ps.push_back(std::make_unique<PulseBox>(
-                sim.binder(), sim.stats(),
-                "producer" + std::to_string(i), wire, 4));
-            ss.push_back(std::make_unique<SinkBox>(
-                sim.binder(), sim.stats(),
-                "sink" + std::to_string(i), wire));
-            sim.addBox(ps.back().get());
-            sim.addBox(ss.back().get());
-        }
-    };
-
-    Simulator simA, simB;
-    std::vector<std::unique_ptr<PulseBox>> psA, psB;
-    std::vector<std::unique_ptr<SinkBox>> ssA, ssB;
-    build(simA, psA, ssA);
-    build(simB, psB, ssB);
-
-    ParallelScheduler schedA(2), schedB(2);
-    const std::vector<u32> a =
-        schedA.partitionAssignment(simA.domain("default"));
-    const std::vector<u32> b =
-        schedB.partitionAssignment(simB.domain("default"));
-    ASSERT_EQ(a.size(), 12u);
-    EXPECT_EQ(a, b);
-    for (u32 p : a)
-        EXPECT_LT(p, 2u);
-    // Boxes alternate producer0, sink0, producer1, sink1, ...
-    for (u32 i = 0; i < 6; ++i)
-        EXPECT_EQ(a[2 * i], a[2 * i + 1]) << "pair " << i;
-    // The pairs are mutually disconnected, so no signal need cross.
-    EXPECT_EQ(schedA.crossSignals(simA.domain("default")), 0u);
-    // Both partitions actually get work (3 pairs each by LPT).
-    EXPECT_NE(a.front(),
-              a[2 * 5]); // At least two distinct partitions used.
-}
-
-TEST(Scheduler, WorkStealingPreservesSignalOrder)
-{
-    // Sequence-stamped multi-object traffic through a fan-in sink:
-    // the arrival-order hash must not depend on the engine, the
-    // thread count or the steal setting.
-    const u64 serial =
-        runOrderMesh(std::make_unique<SerialScheduler>());
-    const u64 par2 =
-        runOrderMesh(std::make_unique<ParallelScheduler>(2));
-    const u64 par4 =
-        runOrderMesh(std::make_unique<ParallelScheduler>(4));
-    ParallelScheduler::Options noSteal;
-    noSteal.workSteal = false;
-    const u64 par4NoSteal = runOrderMesh(
-        std::make_unique<ParallelScheduler>(4, noSteal));
-    EXPECT_EQ(serial, par2);
-    EXPECT_EQ(serial, par4);
-    EXPECT_EQ(serial, par4NoSteal);
-}
-
-TEST(Scheduler, MakeSchedulerFactory)
-{
-    auto serial = makeScheduler("serial");
-    EXPECT_STREQ(serial->name(), "serial");
-    EXPECT_EQ(serial->threadCount(), 1u);
-    auto parallel = makeScheduler("parallel", 3);
-    EXPECT_STREQ(parallel->name(), "parallel");
-    EXPECT_EQ(parallel->threadCount(), 3u);
-    EXPECT_THROW(makeScheduler("bogus"), FatalError);
 }
 
 TEST(ClockDomain, DividerGatesTicks)
