@@ -256,6 +256,36 @@ configHashHex(const gpu::GpuConfig& config)
     return os.str();
 }
 
+/** Sum of Box::clockedCycles() over every box of the run: how many
+ * update() calls the clock loop made. */
+inline u64
+boxClocks(const RunResult& result)
+{
+    u64 clocks = 0;
+    for (const auto& domain : result.gpu->simulator().domains()) {
+        for (const sim::Box* box : domain->boxes())
+            clocks += box->clockedCycles();
+    }
+    return clocks;
+}
+
+/** Sixteen-digit hex FNV-1a of the run's statistics totals CSV: equal
+ * digests mean equal totals for every statistic. */
+inline std::string
+statsDigestHex(const RunResult& result)
+{
+    std::ostringstream csv;
+    result.gpu->stats().writeTotalsCsv(csv);
+    u64 hash = 1469598103934665603ull;
+    for (const unsigned char c : csv.str()) {
+        hash ^= c;
+        hash *= 1099511628211ull;
+    }
+    std::ostringstream os;
+    os << std::hex << std::setw(16) << std::setfill('0') << hash;
+    return os.str();
+}
+
 /**
  * One machine-readable line per run, greppable as ^BENCH_JSON.  The
  * toggle fields reflect the effective config (after environment
@@ -284,6 +314,8 @@ emitJson(const std::string& label, const RunResult& result)
               << "\",\"dram_scheduler\":\""
               << gpu::enumName(c.dramScheduler)
               << "\",\"config_hash\":\"" << configHashHex(c)
+              << "\",\"box_clocks\":" << boxClocks(result)
+              << ",\"stats_digest\":\"" << statsDigestHex(result)
               << "\"}\n"
               << std::defaultfloat;
 }

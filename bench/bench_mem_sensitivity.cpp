@@ -42,12 +42,13 @@ class StreamClient : public sim::Box
                  config.memoryRequestQueue);
     }
 
-    void
+    bool
     update(Cycle cycle) override
     {
         mem.clock(cycle);
         if (tick)
             tick(cycle);
+        return true;
     }
 
     gpu::MemPort mem;

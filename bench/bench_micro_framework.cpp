@@ -47,7 +47,7 @@ struct ClockLoopModel
                 _out = output(out, 1, 1);
         }
 
-        void
+        bool
         update(Cycle cycle) override
         {
             sim::DynamicObjectPtr obj;
@@ -60,13 +60,9 @@ struct ClockLoopModel
                 if (_out && _out->canWrite(cycle))
                     _out->write(cycle, std::move(obj));
             }
-        }
-
-        /** Stateless relays carry no work between cycles: with quiet
-         * inputs their update() is a no-op, so they may be skipped. */
-        bool
-        busy() const override
-        {
+            // Stateless relays carry no work between cycles: with
+            // quiet inputs their update() is a no-op, so they sleep
+            // until the next delivery.
             return !_stateless;
         }
 
@@ -125,7 +121,7 @@ struct IdlePhaseModel
             wakeAt(0); // First burst fires at cycle 0.
         }
 
-        void
+        bool
         update(Cycle cycle) override
         {
             if (_remaining == 0 && _bursts > 0 &&
@@ -140,11 +136,6 @@ struct IdlePhaseModel
                 if (--_remaining == 0 && _bursts > 0)
                     wakeAt(_nextBurst);
             }
-        }
-
-        bool
-        busy() const override
-        {
             return _remaining > 0;
         }
 

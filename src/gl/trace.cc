@@ -1,5 +1,7 @@
 #include "gl/trace.hh"
 
+#include <cstring>
+
 #include "gl/context.hh"
 #include "sim/logging.hh"
 
@@ -9,29 +11,28 @@ namespace attila::gl
 namespace
 {
 
+/** Version 02 added the checksum trailer. */
 constexpr char traceMagic[8] = {'A', 'G', 'L', 'T', 'R', 'C', '0',
-                                '1'};
+                                '2'};
 
-template <typename T>
-void
-writeRaw(std::ofstream& out, const T& v)
-{
-    out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
+constexpr u64 fnvOffset = 0xcbf29ce484222325ull;
 
-template <typename T>
-T
-readRaw(std::ifstream& in)
+/** FNV-1a, 64-bit, continuing from @p hash. */
+u64
+fnv1a(const void* data, std::size_t size, u64 hash = fnvOffset)
 {
-    T v{};
-    in.read(reinterpret_cast<char*>(&v), sizeof(T));
-    return v;
+    const auto* bytes = static_cast<const u8*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+        hash ^= bytes[i];
+        hash *= 1099511628211ull;
+    }
+    return hash;
 }
 
 } // anonymous namespace
 
 TraceRecorder::TraceRecorder(const std::string& path)
-    : _out(path, std::ios::binary)
+    : _out(path, std::ios::binary), _checksum(fnvOffset)
 {
     if (!_out)
         fatal("trace recorder: cannot open '", path, "'");
@@ -40,7 +41,18 @@ TraceRecorder::TraceRecorder(const std::string& path)
 
 TraceRecorder::~TraceRecorder()
 {
+    // Trailer: FNV-1a of every byte between the magic and itself.
+    _out.write(reinterpret_cast<const char*>(&_checksum),
+               sizeof(_checksum));
     _out.flush();
+}
+
+void
+TraceRecorder::put(const void* data, std::size_t size)
+{
+    _out.write(static_cast<const char*>(data),
+               static_cast<std::streamsize>(size));
+    _checksum = fnv1a(data, size, _checksum);
 }
 
 void
@@ -48,18 +60,20 @@ TraceRecorder::record(TraceOp op, std::initializer_list<f64> scalars,
                       const u8* blob, std::size_t blob_size,
                       const std::string& text)
 {
-    writeRaw(_out, static_cast<u16>(op));
-    writeRaw(_out, static_cast<u8>(scalars.size()));
+    const u16 opcode = static_cast<u16>(op);
+    const u8 nscalars = static_cast<u8>(scalars.size());
+    const u32 blobSize = static_cast<u32>(blob_size);
+    const u32 textSize = static_cast<u32>(text.size());
+    put(&opcode, sizeof(opcode));
+    put(&nscalars, sizeof(nscalars));
     for (f64 s : scalars)
-        writeRaw(_out, s);
-    writeRaw(_out, static_cast<u32>(blob_size));
+        put(&s, sizeof(s));
+    put(&blobSize, sizeof(blobSize));
     if (blob_size)
-        _out.write(reinterpret_cast<const char*>(blob),
-                   static_cast<std::streamsize>(blob_size));
-    writeRaw(_out, static_cast<u32>(text.size()));
+        put(blob, blob_size);
+    put(&textSize, sizeof(textSize));
     if (!text.empty())
-        _out.write(text.data(),
-                   static_cast<std::streamsize>(text.size()));
+        put(text.data(), text.size());
     ++_records;
     if (op == TraceOp::SwapBuffers)
         ++_frames;
@@ -70,50 +84,65 @@ TracePlayer::TracePlayer(const std::string& path)
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         fatal("trace player: cannot open '", path, "'");
-    u64 remaining = static_cast<u64>(in.tellg());
+    // The whole file is read once (an allocation bounded by its own
+    // size) so the checksum is verified before any record is parsed.
+    std::vector<u8> bytes(static_cast<std::size_t>(in.tellg()));
     in.seekg(0);
-    char magic[8];
-    in.read(magic, 8);
-    if (!in || std::memcmp(magic, traceMagic, 8) != 0)
+    in.read(reinterpret_cast<char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+    if (!in || bytes.size() < sizeof(traceMagic) ||
+        std::memcmp(bytes.data(), traceMagic, sizeof(traceMagic)) != 0)
         fatal("trace player: '", path, "' is not an AGL trace");
-    remaining -= sizeof(magic);
+    u64 checksum = 0;
+    if (bytes.size() < sizeof(traceMagic) + sizeof(checksum))
+        fatal("trace player: '", path, "' has no checksum trailer");
+    const std::size_t end = bytes.size() - sizeof(checksum);
+    std::memcpy(&checksum, bytes.data() + end, sizeof(checksum));
+    const u64 computed = fnv1a(bytes.data() + sizeof(traceMagic),
+                               end - sizeof(traceMagic));
+    if (checksum != computed)
+        fatal("trace player: '", path, "': checksum mismatch (file ",
+              checksum, ", computed ", computed, ")");
 
-    // Every field is charged against the bytes left in the file
-    // before it is read, so a corrupt length can never drive an
-    // allocation past the file's own size.
-    const auto take = [&](u64 bytes, const char* what) {
-        if (bytes > remaining)
-            fatal("trace player: ", what, " of ", bytes,
-                  " bytes overruns '", path, "' (", remaining,
+    // Every field is charged against the bytes left before the
+    // trailer before it is read, so a corrupt length can never drive
+    // an allocation past the file's own size.
+    std::size_t pos = sizeof(traceMagic);
+    const auto take = [&](u64 size, const char* what) {
+        if (size > end - pos)
+            fatal("trace player: ", what, " of ", size,
+                  " bytes overruns '", path, "' (", end - pos,
                   " bytes left)");
-        remaining -= bytes;
     };
-    while (remaining > 0) {
+    const auto read = [&](void* out, std::size_t size) {
+        if (size)
+            std::memcpy(out, bytes.data() + pos, size);
+        pos += size;
+    };
+    while (pos < end) {
         take(sizeof(u16) + sizeof(u8), "record header");
-        const u16 op = readRaw<u16>(in);
+        u16 op = 0;
+        read(&op, sizeof(op));
         if (op >= numTraceOps)
             fatal("trace player: unknown opcode ", op, " in '", path,
                   "'");
         TraceRecord rec;
         rec.op = static_cast<TraceOp>(op);
-        const u8 nscalars = readRaw<u8>(in);
+        u8 nscalars = 0;
+        read(&nscalars, sizeof(nscalars));
         take(nscalars * sizeof(f64) + sizeof(u32), "scalar list");
         rec.scalars.resize(nscalars);
-        for (u8 i = 0; i < nscalars; ++i)
-            rec.scalars[i] = readRaw<f64>(in);
-        const u32 blob = readRaw<u32>(in);
+        read(rec.scalars.data(), nscalars * sizeof(f64));
+        u32 blob = 0;
+        read(&blob, sizeof(blob));
         take(u64{blob} + sizeof(u32), "blob");
         rec.blob.resize(blob);
-        if (blob) {
-            in.read(reinterpret_cast<char*>(rec.blob.data()), blob);
-        }
-        const u32 text = readRaw<u32>(in);
+        read(rec.blob.data(), blob);
+        u32 text = 0;
+        read(&text, sizeof(text));
         take(text, "text");
         rec.text.resize(text);
-        if (text)
-            in.read(rec.text.data(), text);
-        if (!in)
-            fatal("trace player: truncated record in '", path, "'");
+        read(rec.text.data(), text);
         if (rec.op == TraceOp::SwapBuffers)
             ++_frames;
         _records.push_back(std::move(rec));

@@ -13,6 +13,9 @@
  * skipped while state changes and buffer/texture uploads are still
  * applied (paper §4).  Traces carry no timestamps, isolating the
  * simulator from CPU-side effects.
+ *
+ * File layout: an 8-byte magic, the records, then an 8-byte trailer
+ * holding the FNV-1a checksum of the record bytes.
  */
 
 #ifndef ATTILA_GL_TRACE_HH
@@ -77,7 +80,11 @@ class TraceRecorder
     u32 frameCount() const { return _frames; }
 
   private:
+    /** Write @p size bytes and fold them into the checksum. */
+    void put(const void* data, std::size_t size);
+
     std::ofstream _out;
+    u64 _checksum;
     u64 _records = 0;
     u32 _frames = 0;
 };
@@ -88,7 +95,8 @@ class TracePlayer
   public:
     /**
      * Parse the trace at @p path.  Throws FatalError on a bad magic,
-     * an unknown opcode, or a length field that overruns the file
+     * a checksum trailer that does not match the records, an
+     * unknown opcode, or a length field that overruns the file
      * (checked before anything is allocated).
      */
     explicit TracePlayer(const std::string& path);

@@ -157,6 +157,7 @@ FbCache::access(Cycle cycle, u32 addr, bool forWrite)
         if (_state[idx] == LineState::Filling)
             return CacheAccess::Miss; // Fill under way.
         ++_accessesThisCycle;
+        ++_changes;
         _lastUse[idx] = ++_useCounter;
         if (forWrite)
             _dirty[idx] = 1;
@@ -201,6 +202,7 @@ FbCache::access(Cycle cycle, u32 addr, bool forWrite)
     slot.cancelled = false;
     _order[(_ordHead + _ordCount) & _ordMask] = slotIdx;
     ++_ordCount;
+    ++_changes;
     _misses.inc();
     if constexpr (sim::kEventTraceCompiled) {
         if (_eventTrace) [[unlikely]] {
@@ -248,6 +250,7 @@ FbCache::clock(Cycle cycle, MemPort& port, MemClient client)
                                     lineData(slot.lineIndex));
                 _state[slot.lineIndex] = LineState::Valid;
                 _freeSlots |= 1u << slotIdx;
+                ++_changes;
             } else {
                 _order[(_ordHead + kept) & _ordMask] = slotIdx;
                 ++kept;
@@ -267,6 +270,7 @@ FbCache::clock(Cycle cycle, MemPort& port, MemClient client)
         wb.txn->client = client;
         port.request(cycle, wb.txn);
         wb.issued = true;
+        ++_changes;
     }
 
     // Issue fills, but never while a writeback of the same address
@@ -294,11 +298,13 @@ FbCache::clock(Cycle cycle, MemPort& port, MemClient client)
         txn->tag = static_cast<u64>(slot.addr) << 1;
         port.request(cycle, txn);
         slot.issued = true;
+        ++_changes;
     }
 
     // Handle responses.
     while (port.hasResponse()) {
         MemTransactionPtr txn = port.popResponse(cycle);
+        ++_changes;
         const u32 addr = static_cast<u32>(txn->tag >> 1);
         if (!txn->isRead) {
             // Writeback acknowledged: tombstone the entry and let
@@ -356,6 +362,7 @@ bool
 FbCache::flushStep(Cycle cycle, MemPort& port, MemClient client)
 {
     // Queue writebacks for dirty lines, a few per cycle.
+    const u32 scanFrom = _flushScan;
     u32 queued = 0;
     while (_flushScan < _lineCount && queued < 4) {
         if (_state[_flushScan] == LineState::Valid &&
@@ -371,8 +378,14 @@ FbCache::flushStep(Cycle cycle, MemPort& port, MemClient client)
 
     if (_flushScan >= _lineCount && idle()) {
         _flushScan = 0;
+        // A whole clean scan from 0 that finds nothing left to do
+        // changes nothing; any other step moved the flush along.
+        if (scanFrom != 0 || queued != 0)
+            ++_changes;
         return true;
     }
+    if (_flushScan != scanFrom || queued != 0)
+        ++_changes;
     return false;
 }
 
@@ -401,6 +414,7 @@ FbCache::invalidateAll()
 
     std::fill(_state.begin(), _state.end(), LineState::Invalid);
     std::fill(_dirty.begin(), _dirty.end(), u8{0});
+    ++_changes;
 }
 
 bool

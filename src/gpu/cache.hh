@@ -200,6 +200,14 @@ class FbCache
     /** True when no fills or writebacks are in flight. */
     bool idle() const;
 
+    /**
+     * Host-side count of state changes (hits, new misses, fills,
+     * requests issued, responses, flush progress).  A parent box
+     * compares it across update() to tell progress from a blocked
+     * retry (a Miss on a line already filling changes nothing).
+     */
+    u64 changes() const { return _changes; }
+
     u32 lineBytes() const { return _config.lineBytes; }
     u32 lineCount() const { return _lineCount; }
     u32 ways() const { return _config.ways; }
@@ -317,6 +325,7 @@ class FbCache
     u32 _accessesThisCycle = 0;
     Cycle _currentCycle = ~0ull;
     u64 _useCounter = 0;
+    u64 _changes = 0;
     u32 _flushScan = 0;
     sim::BatchedStat _hits;
     sim::BatchedStat _misses;

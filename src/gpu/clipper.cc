@@ -20,22 +20,20 @@ Clipper::Clipper(sim::SignalBinder& binder,
               config.setupQueue);
 }
 
-void
+bool
 Clipper::update(Cycle cycle)
 {
-    _in.clock(cycle);
-    _out.clock(cycle);
+    const bool arrivals = _in.clock(cycle);
+    const bool credits = _out.clock(cycle);
 
-    if (_in.empty())
-        return;
-    if (!_out.canSend(cycle))
-        return;
+    if (_in.empty() || !_out.canSend(cycle))
+        return arrivals || credits;
     _statBusy.inc();
 
     TriangleObjPtr tri = _in.pop(cycle);
     if (tri->isMarker()) {
         _out.send(cycle, tri);
-        return;
+        return true;
     }
     _statTriangles.inc();
 
@@ -44,9 +42,10 @@ Clipper::update(Cycle cycle)
                                             tri->vertex[1][pos],
                                             tri->vertex[2][pos])) {
         _statRejected.inc();
-        return; // Culled.
+        return true; // Culled.
     }
     _out.send(cycle, tri);
+    return true;
 }
 
 bool

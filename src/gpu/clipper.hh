@@ -23,11 +23,8 @@ class Clipper : public sim::Box
     Clipper(sim::SignalBinder& binder, sim::StatisticManager& stats,
             const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    bool update(Cycle cycle) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet. */
-    bool busy() const override { return !empty(); }
 
   private:
     LinkRx<TriangleObj> _in;

@@ -45,34 +45,39 @@ ColorWrite::ColorWrite(sim::SignalBinder& binder,
     _backing.compressionEnabled = config.colorCompression;
 }
 
-void
-ColorWrite::processControl(Cycle cycle)
+bool
+ColorWrite::processControl(Cycle cycle, Cycle& wake)
 {
     if (_ctrlPhase == CtrlPhase::Clearing) {
-        if (cycle < _ctrlDoneAt || !_ack.canSend(cycle))
-            return;
+        if (cycle < _ctrlDoneAt) {
+            wake = _ctrlDoneAt;
+            return false;
+        }
+        if (!_ack.canSend(cycle))
+            return false;
         auto ack = std::make_shared<AckObj>();
         ack->kind = _ctrlKind;
         ack->unit = _unit;
         _ack.send(cycle, ack);
         _ctrlPhase = CtrlPhase::None;
-        return;
+        return true;
     }
     if (_ctrlPhase == CtrlPhase::Flushing) {
+        // Flush progress shows in the cache's changes().
         if (!_cache.flushStep(cycle, _mem, MemClient::ColorCache))
-            return;
+            return false;
         if (!_ack.canSend(cycle))
-            return;
+            return false;
         auto ack = std::make_shared<AckObj>();
         ack->kind = _ctrlKind;
         ack->unit = _unit;
         _ack.send(cycle, ack);
         _ctrlPhase = CtrlPhase::None;
-        return;
+        return true;
     }
 
     if (_ctrl.empty())
-        return;
+        return false;
     ControlObjPtr ctrl = _ctrl.pop(cycle);
     _ctrlKind = ctrl->kind;
     const RenderState& state = *ctrl->state;
@@ -106,11 +111,11 @@ ColorWrite::processControl(Cycle cycle)
                              _config.channelBytesPerCycle);
         }
         _ctrlPhase = CtrlPhase::Clearing;
-        return;
+        return true;
     }
     if (ctrl->kind == ControlKind::Flush) {
         _ctrlPhase = CtrlPhase::Flushing;
-        return;
+        return true;
     }
     panic("ColorWrite: unexpected control message");
 }
@@ -190,16 +195,18 @@ ColorWrite::popMarkers(Cycle cycle, LinkRx<QuadObj>& rx, bool late)
     return false;
 }
 
-void
+bool
 ColorWrite::processQuads(Cycle cycle)
 {
     // Drain any markers first (they cost no ROP throughput).
+    bool progress = false;
     while (popMarkers(cycle, _lateIn, true) ||
            popMarkers(cycle, _earlyIn, false)) {
+        progress = true;
     }
 
     if (!_haveCur)
-        return;
+        return progress;
 
     // One quad per cycle (4 fragments, Table 1); a batch's quads
     // arrive on exactly one of the two inputs.
@@ -210,45 +217,55 @@ ColorWrite::processQuads(Cycle cycle)
             continue;
         QuadObjPtr quad = rx->front();
         if (!colorAccess(cycle, *quad))
-            return;
+            return progress; // Miss (progress shows in changes()).
         rx->pop(cycle);
         _statQuads.inc();
         _statBusy.inc();
-        return;
+        return true;
     }
+    return progress;
 }
 
-void
+bool
 ColorWrite::tryRetire(Cycle cycle)
 {
+    bool progress = false;
     while (!_retireQueue.empty() && _retire.canSend(cycle)) {
         auto retire = std::make_shared<RetireObj>();
         retire->batchId = _retireQueue.pop_front();
         retire->unit = _unit;
         _retire.send(cycle, retire);
+        progress = true;
     }
+    return progress;
 }
 
-void
+bool
 ColorWrite::update(Cycle cycle)
 {
-    _earlyIn.clock(cycle);
-    _lateIn.clock(cycle);
-    _retire.clock(cycle);
-    _ctrl.clock(cycle);
-    _ack.clock(cycle);
-    _mem.clock(cycle);
+    bool progress = _earlyIn.clock(cycle);
+    progress |= _lateIn.clock(cycle);
+    progress |= _retire.clock(cycle);
+    progress |= _ctrl.clock(cycle);
+    progress |= _ack.clock(cycle);
+    progress |= _mem.clock(cycle);
+    const u64 cacheChanges = _cache.changes();
 
-    processControl(cycle);
+    Cycle wake = NoWake;
+    progress |= processControl(cycle, wake);
     if (_ctrlPhase == CtrlPhase::None) {
-        processQuads(cycle);
+        progress |= processQuads(cycle);
         _cache.clock(cycle, _mem, MemClient::ColorCache);
     }
-    tryRetire(cycle);
+    progress |= tryRetire(cycle);
     _statQuads.commit();
     _statFragments.commit();
     _statBlended.commit();
     _statBusy.commit();
+    progress |= _cache.changes() != cacheChanges;
+    if (!progress && wake != NoWake)
+        wakeAt(wake);
+    return progress;
 }
 
 bool

@@ -121,11 +121,8 @@ class ColorWrite : public sim::Box
                sim::StatisticManager& stats, const GpuConfig& config,
                u32 unit, emu::GpuMemory& memory);
 
-    void update(Cycle cycle) override;
+    bool update(Cycle cycle) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet. */
-    bool busy() const override { return !empty(); }
 
     /** Clear-state shared with the DAC for frame assembly. */
     std::shared_ptr<const ColorClearInfo>
@@ -145,13 +142,15 @@ class ColorWrite : public sim::Box
   private:
     enum class CtrlPhase : u8 { None, Clearing, Flushing };
 
-    void processControl(Cycle cycle);
-    void processQuads(Cycle cycle);
+    // The steps of update() return whether they made progress;
+    // processControl() sets @p wake while a clear is under way.
+    bool processControl(Cycle cycle, Cycle& wake);
+    bool processQuads(Cycle cycle);
     /** Pop any markers of the current/next batch at an input head.
      *  Returns true when something was consumed. */
     bool popMarkers(Cycle cycle, LinkRx<QuadObj>& rx, bool late);
     bool colorAccess(Cycle cycle, QuadObj& quad);
-    void tryRetire(Cycle cycle);
+    bool tryRetire(Cycle cycle);
 
     const GpuConfig& _config;
     const u32 _unit;

@@ -58,6 +58,8 @@ CommandProcessor::submit(const CommandList& list)
 {
     for (const Command& cmd : list)
         _pending.push_back(cmd);
+    // Work from outside the clock loop: clock at the next cycle.
+    wakeAt(0);
 }
 
 u32
@@ -129,11 +131,11 @@ CommandProcessor::broadcastControl(Cycle cycle, ControlKind kind)
     return true;
 }
 
-void
+bool
 CommandProcessor::startCommand(Cycle cycle)
 {
     if (_pending.empty())
-        return;
+        return false;
     _current = _pending.front();
 
     switch (_current.op) {
@@ -187,12 +189,12 @@ CommandProcessor::startCommand(Cycle cycle)
 
       case CommandOp::Draw: {
         if (_inflightBatches >= 2)
-            return; // Geometry + fragment phase both occupied.
+            return false; // Geometry + fragment phase both occupied.
         if (!_drawOut.canSend(cycle))
-            return;
+            return false;
         if (_staging.raisesDepth()) {
             if (!broadcastControl(cycle, ControlKind::HzPoison))
-                return;
+                return false;
         }
         auto cmd = std::make_shared<DrawCmdObj>();
         cmd->marker = MarkerKind::BatchStart;
@@ -216,27 +218,30 @@ CommandProcessor::startCommand(Cycle cycle)
         _statCommands.inc();
         break;
     }
+    return true;
 }
 
-void
+bool
 CommandProcessor::continueCommand(Cycle cycle)
 {
     switch (_phase) {
       case Phase::Idle:
-        startCommand(cycle);
-        break;
+        return startCommand(cycle);
 
       case Phase::BusTransfer:
-        if (cycle < _busyUntil)
-            break;
+        if (cycle < _busyUntil) {
+            wakeAt(_busyUntil);
+            return false;
+        }
         if (_current.op == CommandOp::WriteBuffer) {
             _phase = Phase::MemWrite;
         } else {
             _phase = Phase::Idle;
         }
-        break;
+        return true;
 
       case Phase::MemWrite: {
+        bool progress = false;
         // Stream the buffer into GPU memory in 256-byte chunks.
         const auto& bytes = *_current.data;
         while (_memBytesSent < bytes.size() &&
@@ -253,21 +258,24 @@ CommandProcessor::continueCommand(Cycle cycle)
             _mem.request(cycle, txn);
             _memBytesSent += chunk;
             ++_memAcksPending;
+            progress = true;
         }
         while (_mem.hasResponse()) {
             _mem.popResponse(cycle);
             --_memAcksPending;
+            progress = true;
         }
         if (_memBytesSent >= bytes.size() && _memAcksPending == 0) {
             _pending.pop_front();
             _phase = Phase::Idle;
+            progress = true;
         }
-        break;
+        return progress;
       }
 
       case Phase::DrainWait:
         if (_inflightBatches != 0)
-            break;
+            return false;
         {
             ControlKind kind;
             if (_current.op == CommandOp::ClearColor)
@@ -277,45 +285,46 @@ CommandProcessor::continueCommand(Cycle cycle)
             else
                 kind = ControlKind::Flush; // Swap stage 1.
             if (!broadcastControl(cycle, kind))
-                break;
+                return false;
             _swapAfterCtrl = _current.op == CommandOp::Swap;
             _phase = Phase::CtrlWait;
         }
-        break;
+        return true;
 
       case Phase::CtrlWait:
         if (_ctrlAcksPending != 0)
-            break;
+            return false;
         if (_swapAfterCtrl) {
             // Swap stage 2: ask the DAC to dump the frame.
             if (!broadcastControl(cycle, ControlKind::DumpFrame))
-                break;
+                return false;
             _swapAfterCtrl = false;
-            break;
+            return true;
         }
         if (_current.op == CommandOp::Swap)
             ++_framesCompleted;
         _pending.pop_front();
         _phase = Phase::Idle;
-        break;
+        return true;
     }
+    return true;
 }
 
-void
+bool
 CommandProcessor::update(Cycle cycle)
 {
-    _drawOut.clock(cycle);
+    bool progress = _drawOut.clock(cycle);
     for (auto& l : _ctrlRopz)
-        l.clock(cycle);
+        progress |= l.clock(cycle);
     for (auto& l : _ctrlRopc)
-        l.clock(cycle);
-    _ctrlHz.clock(cycle);
-    _ctrlDac.clock(cycle);
-    _mem.clock(cycle);
+        progress |= l.clock(cycle);
+    progress |= _ctrlHz.clock(cycle);
+    progress |= _ctrlDac.clock(cycle);
+    progress |= _mem.clock(cycle);
 
     // Retirements: a batch retires once every ROPc reported it.
     for (auto& retire : _retireIn) {
-        retire->clock(cycle);
+        progress |= retire->clock(cycle);
         while (!retire->empty()) {
             auto obj = retire->pop(cycle);
             u32& count = _retireCounts[obj->batchId];
@@ -331,7 +340,7 @@ CommandProcessor::update(Cycle cycle)
 
     // Acks.
     for (auto& ack : _ackIn) {
-        ack->clock(cycle);
+        progress |= ack->clock(cycle);
         while (!ack->empty()) {
             ack->pop(cycle);
             if (_ctrlAcksPending == 0)
@@ -341,9 +350,17 @@ CommandProcessor::update(Cycle cycle)
     }
 
     if (!_pending.empty())
-        _statBusy.inc();
+        _statBusy.inc(); // Also replayed per slept cycle by settle().
 
-    continueCommand(cycle);
+    progress |= continueCommand(cycle);
+    return progress;
+}
+
+void
+CommandProcessor::settle(Cycle cycles)
+{
+    if (!_pending.empty())
+        _statBusy.inc(cycles);
 }
 
 bool

@@ -44,12 +44,9 @@ class CommandProcessor : public sim::Box
                      sim::StatisticManager& stats,
                      const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    bool update(Cycle cycle) override;
+    void settle(Cycle cycles) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet (busyCycles only counts
-     * cycles with commands pending, which empty() covers). */
-    bool busy() const override { return !empty(); }
 
     /** Append a command stream for execution. */
     void submit(const CommandList& list);
@@ -69,8 +66,9 @@ class CommandProcessor : public sim::Box
         CtrlWait,    ///< Waiting for control acks.
     };
 
-    void startCommand(Cycle cycle);
-    void continueCommand(Cycle cycle);
+    // Both return whether they made progress.
+    bool startCommand(Cycle cycle);
+    bool continueCommand(Cycle cycle);
     bool broadcastControl(Cycle cycle, ControlKind kind);
     u32 expectedAcks(ControlKind kind) const;
 

@@ -105,21 +105,22 @@ Dac::assembleFrame(const RenderState& state)
     _statFrames.inc();
 }
 
-void
+bool
 Dac::update(Cycle cycle)
 {
-    _ctrl.clock(cycle);
-    _ack.clock(cycle);
-    _mem.clock(cycle);
+    bool progress = _ctrl.clock(cycle);
+    progress |= _ack.clock(cycle);
+    progress |= _mem.clock(cycle);
 
     // Drain timing reads.
     while (_mem.hasResponse()) {
         _mem.popResponse(cycle);
         --_tilesLeft;
+        progress = true;
     }
 
     if (_dumping) {
-        _statBusy.inc();
+        _statBusy.inc(); // Also replayed per slept cycle by settle().
         // Issue tile reads (refresh bandwidth).
         while (_nextTile < _totalTiles && _mem.canRequest(cycle)) {
             auto txn = _txns.acquire();
@@ -129,6 +130,7 @@ Dac::update(Cycle cycle)
             txn->client = MemClient::Dac;
             _mem.request(cycle, txn);
             ++_nextTile;
+            progress = true;
         }
         if (_tilesLeft == 0 && _nextTile >= _totalTiles &&
             _ack.canSend(cycle)) {
@@ -136,12 +138,13 @@ Dac::update(Cycle cycle)
             ack->kind = ControlKind::DumpFrame;
             _ack.send(cycle, ack);
             _dumping = false;
+            progress = true;
         }
-        return;
+        return progress;
     }
 
     if (_ctrl.empty())
-        return;
+        return progress;
     ControlObjPtr ctrl = _ctrl.pop(cycle);
     if (ctrl->kind != ControlKind::DumpFrame)
         panic("DAC: unexpected control message");
@@ -154,6 +157,14 @@ Dac::update(Cycle cycle)
     _tilesLeft = _totalTiles;
     _nextTile = 0;
     _dumping = true;
+    return true;
+}
+
+void
+Dac::settle(Cycle cycles)
+{
+    if (_dumping)
+        _statBusy.inc(cycles);
 }
 
 bool

@@ -51,11 +51,9 @@ class Dac : public sim::Box
     Dac(sim::SignalBinder& binder, sim::StatisticManager& stats,
         const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    bool update(Cycle cycle) override;
+    void settle(Cycle cycles) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet. */
-    bool busy() const override { return !empty(); }
 
     /** Clear-state tables of the ColorWrite units (set by Gpu). */
     void

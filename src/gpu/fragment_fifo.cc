@@ -114,9 +114,10 @@ FragmentFifo::admit(Entry&& entry)
     return true;
 }
 
-void
+bool
 FragmentFifo::acceptVertices(Cycle cycle)
 {
+    const std::size_t groupBefore = _pendingGroup.size();
     _vertexArrivedThisCycle = false;
     while (!_vertexIn.empty()) {
         const VertexObjPtr& head = _vertexIn.front();
@@ -141,7 +142,9 @@ FragmentFifo::acceptVertices(Cycle cycle)
         entry.registers = state.vertexProgram->numTemps * lanes;
         if (!admit(std::move(entry))) {
             _pendingGroup.pop_back();
-            return; // Window or registers full; retry next cycle.
+            // Window or registers full; retry next cycle.
+            return _vertexArrivedThisCycle ||
+                   _pendingGroup.size() != groupBefore;
         }
         _vertexIn.pop(cycle);
         _vertexArrivedThisCycle = true;
@@ -160,11 +163,14 @@ FragmentFifo::acceptVertices(Cycle cycle)
         if (admit(std::move(entry)))
             _pendingGroup.clear();
     }
+    return _vertexArrivedThisCycle ||
+           _pendingGroup.size() != groupBefore;
 }
 
-void
+bool
 FragmentFifo::acceptFragments(Cycle cycle)
 {
+    bool progress = false;
     u32 accepted = 0;
     while (!_fragmentIn.empty() &&
            accepted < _config.interpolatorQuadsPerCycle) {
@@ -176,8 +182,9 @@ FragmentFifo::acceptFragments(Cycle cycle)
             entry.quad = head;
             entry.status = EntryStatus::Completed;
             if (!admit(std::move(entry)))
-                return;
+                return progress;
             _fragmentIn.pop(cycle);
+            progress = true;
             continue;
         }
 
@@ -190,31 +197,32 @@ FragmentFifo::acceptFragments(Cycle cycle)
         entry.inputs = 4;
         entry.registers = state.fragmentProgram->numTemps * 4;
         if (!admit(std::move(entry)))
-            return;
+            return progress;
         _fragmentIn.pop(cycle);
+        progress = true;
         ++accepted;
     }
+    return progress;
 }
 
-void
+bool
 FragmentFifo::issue(Cycle cycle)
 {
     // Strict in-order issue, skipping only across classes: a stuck
     // fragment thread must not idle the dedicated vertex units.
+    bool progress = false;
     u32 scanned = 0;
     for (auto it = _issueOrder.begin();
          it != _issueOrder.end() && scanned < 8;) {
         ++scanned;
         auto entryIt = _entries.find(*it);
-        if (entryIt == _entries.end()) {
+        if (entryIt == _entries.end() ||
+            entryIt->second.status != EntryStatus::Waiting) {
             it = _issueOrder.erase(it);
+            progress = true;
             continue;
         }
         Entry& entry = entryIt->second;
-        if (entry.status != EntryStatus::Waiting) {
-            it = _issueOrder.erase(it);
-            continue;
-        }
 
         const bool vertexClass =
             entry.kind == EntryKind::VertexGroup &&
@@ -261,7 +269,7 @@ FragmentFifo::issue(Cycle cycle)
                 }
             }
             if (!otherClassAhead)
-                return;
+                return progress;
             ++it;
             continue;
         }
@@ -296,7 +304,9 @@ FragmentFifo::issue(Cycle cycle)
         _statThreadsIssued.inc();
         ++_issueRr;
         it = _issueOrder.erase(it);
+        progress = true;
     }
+    return progress;
 }
 
 void
@@ -328,25 +338,28 @@ FragmentFifo::collectResults(Cycle cycle)
     }
 }
 
-void
+bool
 FragmentFifo::commitVertices(Cycle cycle)
 {
+    bool progress = false;
     // Drain the send queue first (link bandwidth 1).
     while (!_vertexSendQueue.empty() && _vertexOut.canSend(cycle)) {
         _vertexOut.send(cycle, _vertexSendQueue.front());
         _vertexSendQueue.pop_front();
         _statVerticesCommitted.inc();
+        progress = true;
     }
 
     while (!_vertexChain.empty() && _vertexSendQueue.size() < 8) {
         auto it = _entries.find(_vertexChain.front());
         if (it == _entries.end()) {
             _vertexChain.pop_front();
+            progress = true;
             continue;
         }
         Entry& entry = it->second;
         if (entry.status != EntryStatus::Completed)
-            return;
+            return progress;
         for (const VertexObjPtr& v : entry.vertices)
             _vertexSendQueue.push_back(v);
         // Free resources.
@@ -358,33 +371,37 @@ FragmentFifo::commitVertices(Cycle cycle)
         }
         _entries.erase(it);
         _vertexChain.pop_front();
+        progress = true;
     }
+    return progress;
 }
 
-void
+bool
 FragmentFifo::commitFragments(Cycle cycle)
 {
+    bool progress = false;
     u32 committed = 0;
     while (!_fragmentChain.empty() && committed < 4) {
         auto it = _entries.find(_fragmentChain.front());
         if (it == _entries.end()) {
             _fragmentChain.pop_front();
+            progress = true;
             continue;
         }
         Entry& entry = it->second;
         if (entry.status != EntryStatus::Completed)
-            return;
+            return progress;
 
         if (entry.kind == EntryKind::Marker) {
             // Broadcast to every ROPc (early path) and every ROPz
             // late input; atomic across all targets.
             for (auto& l : _toRopc) {
                 if (!l->canSend(cycle))
-                    return;
+                    return progress;
             }
             for (auto& l : _toRopzLate) {
                 if (!l->canSend(cycle))
-                    return;
+                    return progress;
             }
             for (auto& l : _toRopc)
                 l->send(cycle, entry.quad);
@@ -393,6 +410,7 @@ FragmentFifo::commitFragments(Cycle cycle)
             _entries.erase(it);
             _fragmentChain.pop_front();
             ++committed;
+            progress = true;
             continue;
         }
 
@@ -404,7 +422,7 @@ FragmentFifo::commitFragments(Cycle cycle)
                               ? *_toRopzLate[ropOf(*quad)]
                               : *_toRopc[ropOf(*quad)];
             if (!out.canSend(cycle))
-                return;
+                return progress;
             out.send(cycle, quad);
         }
         _usedInputs -= entry.inputs;
@@ -413,33 +431,55 @@ FragmentFifo::commitFragments(Cycle cycle)
         _fragmentChain.pop_front();
         _statQuadsCommitted.inc();
         ++committed;
+        progress = true;
     }
+    return progress;
 }
 
-void
+bool
 FragmentFifo::update(Cycle cycle)
 {
-    _vertexIn.clock(cycle);
-    _fragmentIn.clock(cycle);
-    _vertexOut.clock(cycle);
+    bool progress = _vertexIn.clock(cycle);
+    progress |= _fragmentIn.clock(cycle);
+    progress |= _vertexOut.clock(cycle);
     for (auto& l : _toShader)
-        l->clock(cycle);
+        progress |= l->clock(cycle);
     for (auto& l : _fromShader)
-        l->clock(cycle);
+        progress |= l->clock(cycle);
     for (auto& l : _toRopc)
-        l->clock(cycle);
+        progress |= l->clock(cycle);
     for (auto& l : _toRopzLate)
-        l->clock(cycle);
+        progress |= l->clock(cycle);
 
+    const u64 busyBefore = _statBusy.total();
+    const u64 windowBefore = _statWindowFullCycles.total();
+    const u64 registersBefore = _statRegistersFullCycles.total();
     if (!_entries.empty())
         _statBusy.inc();
 
-    collectResults(cycle);
-    commitVertices(cycle);
-    commitFragments(cycle);
-    acceptVertices(cycle);
-    acceptFragments(cycle);
-    issue(cycle);
+    collectResults(cycle); // Drains arrivals: progress already.
+    progress |= commitVertices(cycle);
+    progress |= commitFragments(cycle);
+    progress |= acceptVertices(cycle);
+    progress |= acceptFragments(cycle);
+    progress |= issue(cycle);
+    if (progress)
+        return true;
+    _sleepBusy = _statBusy.total() - busyBefore;
+    _sleepWindowFull = _statWindowFullCycles.total() - windowBefore;
+    _sleepRegistersFull =
+        _statRegistersFullCycles.total() - registersBefore;
+    return false;
+}
+
+void
+FragmentFifo::settle(Cycle cycles)
+{
+    // Each slept cycle repeats the last blocked update(): the same
+    // busy count and the same failed admissions.
+    _statBusy.inc(_sleepBusy * cycles);
+    _statWindowFullCycles.inc(_sleepWindowFull * cycles);
+    _statRegistersFullCycles.inc(_sleepRegistersFull * cycles);
 }
 
 bool

@@ -41,11 +41,9 @@ class FragmentFifo : public sim::Box
                  sim::StatisticManager& stats,
                  const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    bool update(Cycle cycle) override;
+    void settle(Cycle cycles) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet. */
-    bool busy() const override { return !empty(); }
 
   private:
     enum class EntryKind : u8 { VertexGroup, Quad, Marker };
@@ -64,13 +62,14 @@ class FragmentFifo : public sim::Box
         ShaderWorkObjPtr work;
     };
 
-    void acceptVertices(Cycle cycle);
-    void acceptFragments(Cycle cycle);
+    // accept*, issue and commit* return whether they made progress.
+    bool acceptVertices(Cycle cycle);
+    bool acceptFragments(Cycle cycle);
     bool admit(Entry&& entry);
-    void issue(Cycle cycle);
+    bool issue(Cycle cycle);
     void collectResults(Cycle cycle);
-    void commitVertices(Cycle cycle);
-    void commitFragments(Cycle cycle);
+    bool commitVertices(Cycle cycle);
+    bool commitFragments(Cycle cycle);
     u32 ropOf(const QuadObj& quad) const;
     u32 groupLanes() const;
 
@@ -104,6 +103,12 @@ class FragmentFifo : public sim::Box
 
     /** Committed vertices waiting for the (narrower) output link. */
     std::deque<VertexObjPtr> _vertexSendQueue;
+
+    /** Per-cycle statistic increments of the last update() without
+     * progress, replayed by settle(). */
+    u64 _sleepBusy = 0;
+    u64 _sleepWindowFull = 0;
+    u64 _sleepRegistersFull = 0;
 
     sim::Statistic& _statThreadsIssued;
     sim::Statistic& _statQuadsCommitted;

@@ -73,17 +73,17 @@ FragmentGenerator::buildTile(s32 x0, s32 y0) const
     return tile;
 }
 
-void
+bool
 FragmentGenerator::startTriangle(Cycle cycle)
 {
     if (_current || _in.empty())
-        return;
+        return false;
     const TriangleObjPtr& head = _in.front();
     if (head->isMarker()) {
         if (!_out.canSend(cycle))
-            return;
+            return false;
         _out.send(cycle, _in.pop(cycle));
-        return;
+        return true;
     }
     _current = _in.pop(cycle);
     _tiles.clear();
@@ -97,19 +97,21 @@ FragmentGenerator::startTriangle(Cycle cycle)
         emu::RasterizerEmulator::traverseScanline(
             _current->setup, _config.genTileSize, visitor);
     }
+    return true;
 }
 
-void
+bool
 FragmentGenerator::update(Cycle cycle)
 {
-    _in.clock(cycle);
-    _out.clock(cycle);
+    bool progress = _in.clock(cycle);
+    progress |= _out.clock(cycle);
 
-    startTriangle(cycle);
+    progress |= startTriangle(cycle);
     if (!_current)
-        return;
+        return progress;
 
     // Generate up to tilesPerCycle tiles.
+    const std::size_t tilesBefore = _tiles.size();
     u32 emitted = 0;
     for (u32 n = 0; n < _config.tilesPerCycle && !_tiles.empty();) {
         if (!_out.canSend(cycle))
@@ -128,8 +130,11 @@ FragmentGenerator::update(Cycle cycle)
     }
     if (emitted > 0)
         _statBusy.inc();
-    if (_tiles.empty())
+    if (_tiles.empty()) {
         _current.reset();
+        return true;
+    }
+    return progress || _tiles.size() != tilesBefore;
 }
 
 bool

@@ -31,14 +31,11 @@ class FragmentGenerator : public sim::Box
                       sim::StatisticManager& stats,
                       const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    bool update(Cycle cycle) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet. */
-    bool busy() const override { return !empty(); }
 
   private:
-    void startTriangle(Cycle cycle);
+    bool startTriangle(Cycle cycle); ///< True on progress.
     TileObjPtr buildTile(s32 x0, s32 y0) const;
 
     const GpuConfig& _config;

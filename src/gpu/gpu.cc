@@ -170,8 +170,10 @@ Gpu::runUntilIdle(u64 max_cycles)
         _sim.step();
         if (!_commandProcessor->empty())
             continue;
-        if (_sim.cycle() % poll == 0 && _sim.quiescent())
+        if (_sim.cycle() % poll == 0 && _sim.quiescent()) {
+            _sim.settle();
             return true;
+        }
         // Fully idle stretches between polls fast-forward in bulk
         // (bit-identical: the skipped steps clock nothing).  Cap at
         // the next poll boundary so the quiescence check still runs
@@ -184,6 +186,7 @@ Gpu::runUntilIdle(u64 max_cycles)
             }
         }
     }
+    _sim.settle();
     return false;
 }
 

@@ -297,11 +297,11 @@ struct GpuConfig
     u32 frfcfsWindow = 16;
 
     // ===== Execution engine =========================================
-    /** Activity-driven clocking: skip provably idle boxes and
-     * fast-forward fully idle stretches.  Bit-identical results
-     * either way; false restores the always-clock reference path
-     * for debugging and A/B runs.  Overridable via
-     * ATTILA_IDLE_SKIP=0|1. */
+    /** Activity-driven clocking: clock only boxes that made
+     * progress or were woken (see sim/box.hh) and fast-forward fully
+     * idle stretches.  Bit-identical results either way; false
+     * clocks every box every cycle, the oracle for debugging and A/B
+     * runs.  Overridable via ATTILA_IDLE_SKIP=0|1. */
     bool idleSkip = true;
     /** Pre-decoded shader programs + quad-lockstep emulation (and
      * the shared-footprint texture sampling that rides on it).

@@ -42,21 +42,21 @@ HierarchicalZ::ropOf(u32 tileIndex) const
     return tileIndex % _config.numRops;
 }
 
-void
+bool
 HierarchicalZ::processControl(Cycle cycle)
 {
     if (_ctrl.empty())
-        return;
+        return false;
     const ControlObjPtr& head = _ctrl.front();
     if (head->kind == ControlKind::HzPoison) {
         _poisoned = true;
         std::fill(_hz.begin(), _hz.end(), 255);
         _ctrl.pop(cycle);
-        return;
+        return true;
     }
     if (head->kind == ControlKind::ClearZStencil) {
         if (!_ack.canSend(cycle))
-            return;
+            return false;
         const RenderState& state = *head->state;
         _tilesPerRow = fbTilesPerRow(state.width);
         const u32 rows =
@@ -68,7 +68,7 @@ HierarchicalZ::processControl(Cycle cycle)
         ack->kind = head->kind;
         _ack.send(cycle, ack);
         _ctrl.pop(cycle);
-        return;
+        return true;
     }
     panic("HierarchicalZ: unexpected control message");
 }
@@ -146,19 +146,21 @@ HierarchicalZ::splitTile(Cycle cycle, const TileObjPtr& tile)
     return true;
 }
 
-void
+bool
 HierarchicalZ::processTiles(Cycle cycle)
 {
     // Finish a tile blocked on output backpressure first.
+    const std::size_t pendingBefore = _pendingQuads.size();
     if (!_pendingQuads.empty()) {
         _statBusy.inc();
         if (!splitTile(cycle, nullptr))
-            return;
+            return _pendingQuads.size() != pendingBefore;
     }
+    bool progress = pendingBefore != 0;
     bool counted = false;
     for (u32 n = 0; n < _config.hzTilesPerCycle; ++n) {
         if (_in.empty())
-            return;
+            return progress;
         if (!counted) {
             _statBusy.inc();
             counted = true;
@@ -169,11 +171,12 @@ HierarchicalZ::processTiles(Cycle cycle)
             // Broadcast markers to every ROPz.
             for (auto& out : _toRopz) {
                 if (!out->canSend(cycle))
-                    return;
+                    return progress;
             }
             auto marker = _in.pop(cycle);
             for (auto& out : _toRopz)
                 out->send(cycle, marker);
+            progress = true;
             continue;
         }
 
@@ -187,33 +190,48 @@ HierarchicalZ::processTiles(Cycle cycle)
                 quantizeDown(head->minZ) > _hz[tileIndex]) {
                 _statCulled.inc();
                 _in.pop(cycle);
+                progress = true;
                 continue; // Entire tile hidden.
             }
         }
 
         TileObjPtr tile = _in.pop(cycle);
+        progress = true;
         if (!splitTile(cycle, tile))
-            return; // Output stalled; resume next cycle.
+            return true; // Output stalled; resume next cycle.
     }
+    return progress;
 }
 
-void
+bool
 HierarchicalZ::update(Cycle cycle)
 {
-    _in.clock(cycle);
+    bool progress = _in.clock(cycle);
     for (auto& out : _toRopz)
-        out->clock(cycle);
+        progress |= out->clock(cycle);
     for (auto& rx : _updates)
-        rx->clock(cycle);
-    _ctrl.clock(cycle);
-    _ack.clock(cycle);
+        progress |= rx->clock(cycle);
+    progress |= _ctrl.clock(cycle);
+    progress |= _ack.clock(cycle);
 
-    processControl(cycle);
-    processUpdates(cycle);
-    processTiles(cycle);
+    const u64 busyBefore = _statBusy.liveTotal();
+    progress |= processControl(cycle);
+    processUpdates(cycle); // Drains arrivals: progress already.
+    progress |= processTiles(cycle);
+    if (!progress)
+        _sleepBusy = _statBusy.liveTotal() - busyBefore;
     _statTiles.commit();
     _statCulled.commit();
     _statQuads.commit();
+    _statBusy.commit();
+    return progress;
+}
+
+void
+HierarchicalZ::settle(Cycle cycles)
+{
+    // Each slept cycle repeats the blocked tile step's busy count.
+    _statBusy.inc(_sleepBusy * cycles);
     _statBusy.commit();
 }
 

@@ -39,11 +39,9 @@ class HierarchicalZ : public sim::Box
                   sim::StatisticManager& stats,
                   const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    bool update(Cycle cycle) override;
+    void settle(Cycle cycles) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet. */
-    bool busy() const override { return !empty(); }
 
     /** Quantize a depth to the 8-bit HZ scale (round up = far). */
     static u8
@@ -63,9 +61,11 @@ class HierarchicalZ : public sim::Box
     }
 
   private:
-    void processControl(Cycle cycle);
+    // processControl and processTiles return whether they made
+    // progress.
+    bool processControl(Cycle cycle);
     void processUpdates(Cycle cycle);
-    void processTiles(Cycle cycle);
+    bool processTiles(Cycle cycle);
     bool splitTile(Cycle cycle, const TileObjPtr& tile);
     u32 ropOf(u32 tileIndex) const;
 
@@ -82,6 +82,9 @@ class HierarchicalZ : public sim::Box
 
     /** Quads of a partially sent tile (output backpressure). */
     sim::RingQueue<QuadObjPtr> _pendingQuads;
+    /** Busy cycles of the last update() without progress, replayed
+     * per slept cycle by settle(). */
+    u64 _sleepBusy = 0;
 
     sim::BatchedStat _statTiles;
     sim::BatchedStat _statCulled;

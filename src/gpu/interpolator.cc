@@ -67,7 +67,7 @@ Interpolator::interpolateQuad(QuadObj& quad)
     }
 }
 
-void
+bool
 Interpolator::acceptQuads(Cycle cycle)
 {
     const u32 n = static_cast<u32>(_in.size());
@@ -138,31 +138,37 @@ Interpolator::acceptQuads(Cycle cycle)
         _rrNext = (_rrNext + 1) % n;
         scanned = 0;
     }
+    return processed > 0;
 }
 
-void
+bool
 Interpolator::drain(Cycle cycle)
 {
     u32 sent = 0;
-    while (!_delay.empty() && _delay.front().readyAt <= cycle &&
-           sent < _config.interpolatorQuadsPerCycle) {
-        if (!_out.canSend(cycle))
+    while (!_delay.empty() && sent < _config.interpolatorQuadsPerCycle &&
+           _out.canSend(cycle)) {
+        if (_delay.front().readyAt > cycle) {
+            if (sent == 0)
+                wakeAt(_delay.front().readyAt);
             break;
+        }
         _out.send(cycle, _delay.front().quad);
         _delay.pop_front();
         ++sent;
     }
+    return sent > 0;
 }
 
-void
+bool
 Interpolator::update(Cycle cycle)
 {
+    bool progress = _out.clock(cycle);
     for (auto& rx : _in)
-        rx->clock(cycle);
-    _out.clock(cycle);
+        progress |= rx->clock(cycle);
 
-    drain(cycle);
-    acceptQuads(cycle);
+    progress |= drain(cycle);
+    progress |= acceptQuads(cycle);
+    return progress;
 }
 
 bool

@@ -31,20 +31,19 @@ class Interpolator : public sim::Box
                  sim::StatisticManager& stats,
                  const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    bool update(Cycle cycle) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet (the delay pipeline counts
-     * as held work). */
-    bool busy() const override { return !empty(); }
 
     /** Interpolate the inputs of @p quad in place (also used by unit
      * tests). */
     static void interpolateQuad(QuadObj& quad);
 
   private:
-    void acceptQuads(Cycle cycle);
-    void drain(Cycle cycle);
+    // Both return whether they made progress.  A blocked
+    // acceptQuads() scans every input once, which leaves _rrNext
+    // where it was.
+    bool acceptQuads(Cycle cycle);
+    bool drain(Cycle cycle);
 
     const GpuConfig& _config;
     std::vector<std::unique_ptr<LinkRx<QuadObj>>> _in;

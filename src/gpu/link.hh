@@ -48,12 +48,15 @@ class LinkTx
         _credits = capacity;
     }
 
-    /** Collect returned credits; call once per cycle. */
-    void
+    /** Collect returned credits; call once per cycle.  Returns
+     * whether any credit came home (progress for the owning box). */
+    bool
     clock(Cycle cycle)
     {
+        const u32 before = _credits;
         while (_credit->read(cycle))
             ++_credits;
+        return _credits != before;
     }
 
     /** True when a send this cycle is within credits and signal
@@ -115,10 +118,12 @@ class LinkRx
         _capacity = capacity;
     }
 
-    /** Move arrivals into the queue; call once per cycle. */
-    void
+    /** Move arrivals into the queue; call once per cycle.  Returns
+     * whether anything arrived (progress for the owning box). */
+    bool
     clock(Cycle cycle)
     {
+        const std::size_t before = _queue.size();
         while (auto obj = _data->read(cycle)) {
             if (_queue.size() >= _capacity) {
                 panic("link '", _data->name(),
@@ -127,6 +132,7 @@ class LinkRx
             }
             _queue.push_back(std::static_pointer_cast<T>(obj));
         }
+        return _queue.size() != before;
     }
 
     bool empty() const { return _queue.empty(); }

@@ -80,12 +80,13 @@ MemoryController::MemoryController(sim::SignalBinder& binder,
         stat.setImmediate(immediate);
 }
 
-void
+bool
 MemoryController::acceptRequests(Cycle cycle)
 {
+    bool progress = false;
     for (u32 ci = 0; ci < _clients.size(); ++ci) {
         ClientPort& client = *_clients[ci];
-        client.req.clock(cycle);
+        progress |= client.req.clock(cycle);
         while (!client.req.empty()) {
             MemTransactionPtr txn = client.req.pop(cycle);
             if (txn->size == 0 || txn->size > 256) {
@@ -128,6 +129,7 @@ MemoryController::acceptRequests(Cycle cycle)
             ++_pendingTxns;
         }
     }
+    return progress;
 }
 
 u32
@@ -157,12 +159,14 @@ MemoryController::pickPending(Channel& ch)
     return 0;
 }
 
-void
+bool
 MemoryController::scheduleBanked(Cycle cycle)
 {
+    bool progress = false;
     for (Channel& ch : _channels) {
         if (ch.hasInflight || ch.pending.empty())
             continue;
+        progress = true;
         Burst b = ch.pending.remove_at(pickPending(ch));
 
         const u32 addr = b.txn->address + b.offset;
@@ -225,15 +229,15 @@ MemoryController::scheduleBanked(Cycle cycle)
         ch.hasInflight = true;
         _statBusyCycles.inc(dataEnd - cycle);
     }
+    return progress;
 }
 
-void
+bool
 MemoryController::scheduleChannels(Cycle cycle)
 {
-    if (_banked) {
-        scheduleBanked(cycle);
-        return;
-    }
+    if (_banked)
+        return scheduleBanked(cycle);
+    bool progress = false;
     for (Channel& ch : _channels) {
         if (ch.hasInflight)
             continue;
@@ -264,17 +268,25 @@ MemoryController::scheduleChannels(Cycle cycle)
             ch.inflight = std::move(b);
             ch.hasInflight = true;
             _statBusyCycles.inc(cost);
+            progress = true;
             break;
         }
     }
+    return progress;
 }
 
-void
-MemoryController::completeBursts(Cycle cycle)
+bool
+MemoryController::completeBursts(Cycle cycle, Cycle& wake)
 {
+    bool progress = false;
     for (Channel& ch : _channels) {
-        if (!ch.hasInflight || cycle < ch.busyUntil)
+        if (!ch.hasInflight)
             continue;
+        if (cycle < ch.busyUntil) {
+            wake = std::min(wake, ch.busyUntil);
+            continue;
+        }
+        progress = true;
         Burst& b = ch.inflight;
         const u32 addr = b.txn->address + b.offset;
         if (b.txn->isRead) {
@@ -313,29 +325,37 @@ MemoryController::completeBursts(Cycle cycle)
         b.txn.reset();
         ch.hasInflight = false;
     }
+    return progress;
 }
 
-void
+bool
 MemoryController::sendResponses(Cycle cycle)
 {
+    bool progress = false;
     for (auto& clientPtr : _clients) {
         ClientPort& client = *clientPtr;
-        client.resp.clock(cycle);
+        progress |= client.resp.clock(cycle);
         while (!client.completed.empty() &&
                client.resp.canSend(cycle)) {
             client.resp.send(cycle, client.completed.pop_front());
+            progress = true;
         }
     }
+    return progress;
 }
 
-void
+bool
 MemoryController::update(Cycle cycle)
 {
-    acceptRequests(cycle);
-    completeBursts(cycle);
-    scheduleChannels(cycle);
-    sendResponses(cycle);
+    Cycle wake = NoWake;
+    bool progress = acceptRequests(cycle);
+    progress |= completeBursts(cycle, wake);
+    progress |= scheduleChannels(cycle);
+    progress |= sendResponses(cycle);
     commitStats();
+    if (!progress && wake != NoWake)
+        wakeAt(wake);
+    return progress;
 }
 
 void

@@ -79,11 +79,12 @@ class MemPort
                    queue_capacity);
     }
 
-    void
+    /** Collect credits and responses; true when any arrived. */
+    bool
     clock(Cycle cycle)
     {
-        _req.clock(cycle);
-        _resp.clock(cycle);
+        const bool credits = _req.clock(cycle);
+        return _resp.clock(cycle) || credits;
     }
 
     bool canRequest(Cycle cycle) const { return _req.canSend(cycle); }
@@ -125,12 +126,8 @@ class MemoryController : public sim::Box
                      const GpuConfig& config, emu::GpuMemory& memory,
                      std::vector<std::string> client_ports);
 
-    void update(Cycle cycle) override;
+    bool update(Cycle cycle) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet (in-flight channel bursts
-     * count as held work). */
-    bool busy() const override { return !empty(); }
 
     /** Total bytes transferred (reads + writes). */
     u64 totalBytes() const { return _totalBytes; }
@@ -226,14 +223,16 @@ class MemoryController : public sim::Box
         return pageOf(addr) / _timing.nbk;
     }
 
-    void acceptRequests(Cycle cycle);
-    void scheduleChannels(Cycle cycle);
-    void scheduleBanked(Cycle cycle);
+    // The steps of update() return whether they made progress.
+    bool acceptRequests(Cycle cycle);
+    bool scheduleChannels(Cycle cycle);
+    bool scheduleBanked(Cycle cycle);
     /** Pending-ring position the policy schedules next; bumps the
      * front burst's bypass counter when overtaking it. */
     u32 pickPending(Channel& ch);
-    void completeBursts(Cycle cycle);
-    void sendResponses(Cycle cycle);
+    /** Also lowers @p wake to the earliest in-flight completion. */
+    bool completeBursts(Cycle cycle, Cycle& wake);
+    bool sendResponses(Cycle cycle);
     void commitStats();
 
     const GpuConfig& _config;

@@ -143,27 +143,44 @@ PrimitiveAssembly::assemble(Cycle cycle)
     }
 }
 
-void
+bool
 PrimitiveAssembly::update(Cycle cycle)
 {
-    _in.clock(cycle);
-    _out.clock(cycle);
+    bool progress = _in.clock(cycle);
+    progress |= _out.clock(cycle);
 
     if (_pendingSecond) {
         if (!_out.canSend(cycle))
-            return;
+            return progress;
         if (_primitive == Primitive::Quads)
             emitTriangle(cycle, 0, 2, 3);
         else
             emitTriangle(cycle, 0, 3, 2); // Quad strip.
         _pendingSecond = false;
         _statBusy.inc();
-        return;
+        return true;
     }
 
-    if (!_in.empty())
+    // A blocked assemble() may trim the window once before it
+    // stalls; after that the blocked step repeats unchanged.
+    const std::size_t inBefore = _in.size();
+    const std::size_t windowBefore = _window.size();
+    const bool counted = !_in.empty();
+    if (counted)
         _statBusy.inc();
     assemble(cycle);
+    if (progress || _in.size() != inBefore ||
+        _window.size() != windowBefore)
+        return true;
+    _sleepBusy = counted;
+    return false;
+}
+
+void
+PrimitiveAssembly::settle(Cycle cycles)
+{
+    if (_sleepBusy)
+        _statBusy.inc(cycles);
 }
 
 bool

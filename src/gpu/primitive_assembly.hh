@@ -26,11 +26,9 @@ class PrimitiveAssembly : public sim::Box
                       sim::StatisticManager& stats,
                       const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    bool update(Cycle cycle) override;
+    void settle(Cycle cycles) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet. */
-    bool busy() const override { return !empty(); }
 
   private:
     /** Emit a triangle from stored vertices a, b, c. */
@@ -48,6 +46,9 @@ class PrimitiveAssembly : public sim::Box
     u32 _batchId = 0;
     Primitive _primitive = Primitive::Triangles;
     bool _pendingSecond = false; ///< Second triangle of a quad.
+    /** The last update() without progress counted a busy cycle;
+     * settle() replays it per slept cycle. */
+    bool _sleepBusy = false;
 
     sim::Statistic& _statTriangles;
     sim::Statistic& _statBusy;

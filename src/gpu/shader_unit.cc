@@ -268,14 +268,14 @@ ShaderUnit::sendResult(Cycle cycle, Thread& thread)
     return true;
 }
 
-void
+bool
 ShaderUnit::execute(Cycle cycle, Thread& thread)
 {
     for (u32 n = 0; n < _config.shaderFetchRate; ++n) {
         if (thread.waitingTexture || thread.finished)
-            return;
+            return n > 0;
         if (!dependenciesReady(thread, cycle))
-            return;
+            return n > 0;
 
         // Reference lane for control decisions.
         s32 ref = -1;
@@ -287,7 +287,7 @@ ShaderUnit::execute(Cycle cycle, Thread& thread)
         }
         if (ref < 0) {
             thread.finished = true;
-            return;
+            return true;
         }
 
         const u32 pc = thread.lanes[ref].pc;
@@ -300,7 +300,7 @@ ShaderUnit::execute(Cycle cycle, Thread& thread)
             if (d.isTexture) {
                 LinkTx& link = *_texReq[_tuNext % _texReq.size()];
                 if (!link.canSend(cycle))
-                    return; // No TU slot this cycle; retry.
+                    return n > 0; // No TU slot this cycle; retry.
                 const auto qs = _emulator.stepQuad(
                     *thread.decoded, *thread.constants, thread.lanes,
                     thread.laneDone);
@@ -329,7 +329,7 @@ ShaderUnit::execute(Cycle cycle, Thread& thread)
                 ++thread.epoch;
                 _statTexRequests.inc();
                 _statInstructions.inc();
-                return;
+                return true;
             }
 
             const auto qs = _emulator.stepQuad(
@@ -343,7 +343,7 @@ ShaderUnit::execute(Cycle cycle, Thread& thread)
             ++thread.epoch;
             if (qs.outcome == StepOutcome::Done) {
                 thread.finished = true;
-                return;
+                return true;
             }
             continue;
         }
@@ -355,7 +355,7 @@ ShaderUnit::execute(Cycle cycle, Thread& thread)
             // Build a quad texture request.
             LinkTx& link = *_texReq[_tuNext % _texReq.size()];
             if (!link.canSend(cycle))
-                return; // No TU slot this cycle; retry.
+                return n > 0; // No TU slot this cycle; retry.
             auto req = makeTexRequest();
             req->shaderId = _unit;
             req->threadTag = thread.work->entryId;
@@ -385,7 +385,7 @@ ShaderUnit::execute(Cycle cycle, Thread& thread)
             ++thread.epoch;
             _statTexRequests.inc();
             _statInstructions.inc();
-            return;
+            return true;
         }
 
         // Regular instruction: step every live lane in lockstep.
@@ -412,9 +412,61 @@ ShaderUnit::execute(Cycle cycle, Thread& thread)
 
         if (done) {
             thread.finished = true;
-            return;
+            return true;
         }
     }
+    return true;
+}
+
+bool
+ShaderUnit::textureBlocked(const Thread& thread, Cycle cycle) const
+{
+    if (_texReq.empty())
+        return false;
+    u32 pc = ~0u;
+    for (u32 l = 0; l < 4; ++l) {
+        if (!thread.laneDone[l]) {
+            pc = thread.lanes[l].pc;
+            break;
+        }
+    }
+    if (pc == ~0u)
+        return false;
+    const bool isTexture =
+        thread.decoded
+            ? thread.decoded->code[pc].isTexture
+            : emu::opcodeInfo(thread.program->code[pc].op).isTexture;
+    return isTexture &&
+           !_texReq[_tuNext % _texReq.size()]->canSend(cycle);
+}
+
+bool
+ShaderUnit::blocked(Cycle cycle)
+{
+    Cycle wake = NoWake;
+    const auto check = [&](Thread& thread) {
+        if (thread.waitingTexture || thread.finished)
+            return true;
+        if (!dependenciesReady(thread, cycle)) {
+            wake = std::min(wake, thread.depsReadyAt);
+            return true;
+        }
+        return textureBlocked(thread, cycle);
+    };
+    if (_config.scheduling == ShaderScheduling::InOrderQueue) {
+        // Only the oldest thread may execute.
+        if (!_activeSlots.empty() &&
+            !check(_threadPool[_activeSlots.front()]))
+            return false;
+    } else {
+        for (const u32 slot : _activeSlots) {
+            if (!check(_threadPool[slot]))
+                return false;
+        }
+    }
+    if (wake != NoWake)
+        wakeAt(wake);
+    return true;
 }
 
 TexRequestPtr
@@ -428,15 +480,15 @@ ShaderUnit::makeTexRequest()
     return std::make_shared<TexRequest>();
 }
 
-void
+bool
 ShaderUnit::update(Cycle cycle)
 {
-    _in.clock(cycle);
-    _out.clock(cycle);
+    bool progress = _in.clock(cycle);
+    progress |= _out.clock(cycle);
     for (auto& l : _texReq)
-        l->clock(cycle);
+        progress |= l->clock(cycle);
     for (auto& l : _texResp)
-        l->clock(cycle);
+        progress |= l->clock(cycle);
 
     acceptWork(cycle);
     handleTexResponses(cycle);
@@ -463,15 +515,35 @@ ShaderUnit::update(Cycle cycle)
                 thread.decoded = nullptr;
                 _freeThreads.push_back(_activeSlots[i]);
                 _activeSlots.erase(_activeSlots.begin() + i);
+                progress = true;
             }
             break;
         }
     }
 
+    const u64 busyBefore = _statBusy.total();
+    const u64 stallBefore = _statStallTex.total();
+    const u32 rrBefore = _rrNext;
     if (Thread* thread = selectThread(cycle)) {
         _statBusy.inc();
-        execute(cycle, *thread);
+        progress |= execute(cycle, *thread);
     }
+    if (progress || !blocked(cycle))
+        return true;
+    _sleepBusy = _statBusy.total() - busyBefore;
+    _sleepStallTex = _statStallTex.total() - stallBefore;
+    _sleepRr = _rrNext - rrBefore;
+    return false;
+}
+
+void
+ShaderUnit::settle(Cycle cycles)
+{
+    // Every slept cycle repeats the last blocked selectThread():
+    // same busy/stall counts, one more round-robin step.
+    _statBusy.inc(_sleepBusy * cycles);
+    _statStallTex.inc(_sleepStallTex * cycles);
+    _rrNext += _sleepRr * static_cast<u32>(cycles);
 }
 
 bool

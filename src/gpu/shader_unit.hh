@@ -58,11 +58,9 @@ class ShaderUnit : public sim::Box
                sim::StatisticManager& stats, const GpuConfig& config,
                u32 unit, bool vertex_only);
 
-    void update(Cycle cycle) override;
+    bool update(Cycle cycle) override;
+    void settle(Cycle cycles) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no threads and no queued inputs. */
-    bool busy() const override { return !empty(); }
 
     /** Wire thread-slot lifecycle events (shader unit name = box
      * name, matching the .threads statistic). */
@@ -102,7 +100,15 @@ class ShaderUnit : public sim::Box
     void acceptWork(Cycle cycle);
     void handleTexResponses(Cycle cycle);
     Thread* selectThread(Cycle cycle);
-    void execute(Cycle cycle, Thread& thread);
+    /** Returns whether the thread advanced. */
+    bool execute(Cycle cycle, Thread& thread);
+    /** After a cycle without progress: true when no thread can
+     * progress before an outside event (arming wakeAt() for
+     * scoreboard waits); false when another round-robin pick could. */
+    bool blocked(Cycle cycle);
+    /** The thread's next instruction is a texture access and the
+     * texture link has no credit. */
+    bool textureBlocked(const Thread& thread, Cycle cycle) const;
     bool sendResult(Cycle cycle, Thread& thread);
     bool dependenciesReady(const Thread& thread, Cycle cycle) const;
     Cycle computeReadyAt(const Thread& thread) const;
@@ -133,6 +139,12 @@ class ShaderUnit : public sim::Box
     u64 _orderCounter = 0;
     u32 _rrNext = 0;
     u32 _tuNext = 0;
+
+    /** Per-cycle side effects of the last update() without progress,
+     * replayed by settle(). */
+    u64 _sleepBusy = 0;
+    u64 _sleepStallTex = 0;
+    u32 _sleepRr = 0;
 
     sim::Statistic& _statInstructions;
     sim::Statistic& _statThreads;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <tuple>
 
 namespace attila::gpu
 {
@@ -376,14 +377,27 @@ Streamer::commit(Cycle cycle)
     }
 }
 
-void
+bool
 Streamer::update(Cycle cycle)
 {
-    _drawIn.clock(cycle);
-    _toShading.clock(cycle);
-    _fromShading.clock(cycle);
-    _toAssembly.clock(cycle);
-    _mem.clock(cycle);
+    bool progress = _drawIn.clock(cycle);
+    progress |= _toShading.clock(cycle);
+    progress |= _fromShading.clock(cycle);
+    progress |= _toAssembly.clock(cycle);
+    progress |= _mem.clock(cycle);
+
+    // Everything the steps below can change without an arrival
+    // (arrivals are progress already); every send spends a credit.
+    const auto position = [this] {
+        return std::tuple(_active, _dispatched, _committed,
+                          _startSent, _endSent,
+                          _indexChunksRequested,
+                          _readyForShading.size(),
+                          _toShading.credits(), _toAssembly.credits(),
+                          _mem.requestCredits());
+    };
+    const auto before = position();
+    const u64 missesBefore = _statCacheMisses.total();
 
     startBatch(cycle);
     fetchIndices(cycle);
@@ -391,6 +405,18 @@ Streamer::update(Cycle cycle)
     dispatchVertices(cycle);
     handleShaded(cycle);
     commit(cycle);
+    if (progress || position() != before)
+        return true;
+    // A vertex blocked on memory credits counts its cache miss again
+    // every cycle it retries.
+    _sleepCacheMisses = _statCacheMisses.total() - missesBefore;
+    return false;
+}
+
+void
+Streamer::settle(Cycle cycles)
+{
+    _statCacheMisses.inc(_sleepCacheMisses * cycles);
 }
 
 bool

@@ -35,11 +35,9 @@ class Streamer : public sim::Box
     Streamer(sim::SignalBinder& binder, sim::StatisticManager& stats,
              const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    bool update(Cycle cycle) override;
+    void settle(Cycle cycles) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet. */
-    bool busy() const override { return !empty(); }
 
   private:
     /** Reorder buffer entry: one vertex awaiting commit. */
@@ -109,6 +107,9 @@ class Streamer : public sim::Box
     // Vertices with all attributes loaded, awaiting a shading slot.
     std::deque<VertexObjPtr> _readyForShading;
     bool _startSent = false;
+    /** Cache misses the last update() without progress counted;
+     * settle() replays them per slept cycle. */
+    u64 _sleepCacheMisses = 0;
 
     // Reorder buffer, keyed by sequence.
     std::map<u32, RobEntry> _rob;

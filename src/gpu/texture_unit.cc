@@ -47,9 +47,10 @@ TextureUnit::TextureUnit(sim::SignalBinder& binder,
               config.memoryRequestQueue);
 }
 
-void
+bool
 TextureUnit::acceptRequests(Cycle cycle)
 {
+    bool progress = false;
     const u32 n = static_cast<u32>(_reqIn.size());
     for (u32 k = 0; k < n; ++k) {
         const u32 s = (_rrNext + k) % n;
@@ -60,7 +61,9 @@ TextureUnit::acceptRequests(Cycle cycle)
             break;
         _queue.push_back(rx.pop(cycle));
         _rrNext = (s + 1) % n;
+        progress = true;
     }
+    return progress;
 }
 
 void
@@ -137,12 +140,13 @@ TextureUnit::planRequest(Active& active)
     active.lineAddrs.assign(lines.begin(), lines.end());
 }
 
-void
+bool
 TextureUnit::process(Cycle cycle)
 {
+    bool progress = false;
     if (!_activeLive) {
         if (_queue.empty())
-            return;
+            return false;
         _active.req = _queue.pop_front();
         _active.nextLine = 0;
         _active.filtering = false;
@@ -150,10 +154,11 @@ TextureUnit::process(Cycle cycle)
         _activeLive = true;
         planRequest(_active);
         _statRequests.inc();
+        progress = true;
     }
 
     Active& active = _active;
-    _statBusy.inc();
+    _statBusy.inc(); // Also replayed per slept cycle by settle().
 
     if (!active.filtering) {
         // Touch every needed line; stall on misses.
@@ -164,7 +169,9 @@ TextureUnit::process(Cycle cycle)
                 ++active.nextLine;
                 continue;
             }
-            return; // Miss or ports exhausted: retry next cycle.
+            // Miss or ports exhausted: retry next cycle (a hit or a
+            // new miss shows as progress in the cache's changes()).
+            return progress;
         }
         // All lines resident: sample functionally from GPU memory
         // (the cache holds the same bytes — textures are
@@ -185,43 +192,64 @@ TextureUnit::process(Cycle cycle)
         active.filtering = true;
         active.filterDoneAt = cycle + std::max(1u,
                                                active.bilinearOps);
-        return;
+        return true;
     }
 
-    if (cycle >= active.filterDoneAt) {
-        _done.push_back(std::move(active.req));
-        active.req.reset();
-        _activeLive = false;
+    if (cycle < active.filterDoneAt) {
+        wakeAt(active.filterDoneAt);
+        return progress;
     }
+    _done.push_back(std::move(active.req));
+    active.req.reset();
+    _activeLive = false;
+    return true;
 }
 
-void
+bool
 TextureUnit::finish(Cycle cycle)
 {
+    bool progress = false;
     while (!_done.empty()) {
         LinkTx& out = *_respOut[_done.front()->shaderId];
         if (!out.canSend(cycle))
-            return;
+            break;
         out.send(cycle, _done.pop_front());
+        progress = true;
     }
+    return progress;
 }
 
-void
+bool
 TextureUnit::update(Cycle cycle)
 {
+    bool progress = false;
     for (auto& rx : _reqIn)
-        rx->clock(cycle);
+        progress |= rx->clock(cycle);
     for (auto& tx : _respOut)
-        tx->clock(cycle);
-    _mem.clock(cycle);
+        progress |= tx->clock(cycle);
+    progress |= _mem.clock(cycle);
+    const u64 cacheChanges = _cache.changes();
 
-    finish(cycle);
-    process(cycle);
-    acceptRequests(cycle);
+    progress |= finish(cycle);
+    progress |= process(cycle);
+    progress |= acceptRequests(cycle);
     _cache.clock(cycle, _mem, MemClient::TextureCache);
+    progress |= _cache.changes() != cacheChanges;
     _statRequests.commit();
     _statBilinearOps.commit();
     _statBusy.commit();
+    return progress;
+}
+
+void
+TextureUnit::settle(Cycle cycles)
+{
+    // A sleeping unit with an active request counts it busy every
+    // cycle, as process() does.
+    if (_activeLive) {
+        _statBusy.inc(cycles);
+        _statBusy.commit();
+    }
 }
 
 bool

@@ -32,12 +32,9 @@ class TextureUnit : public sim::Box
                 sim::StatisticManager& stats, const GpuConfig& config,
                 u32 unit, emu::GpuMemory& memory);
 
-    void update(Cycle cycle) override;
+    bool update(Cycle cycle) override;
+    void settle(Cycle cycles) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet (an active request filtering
-     * against its timer counts as held work). */
-    bool busy() const override { return !empty(); }
 
     /** Wire the texture cache's hit/miss events (cache unit name =
      * box name, matching the cacheHits/cacheMisses statistics). */
@@ -60,10 +57,11 @@ class TextureUnit : public sim::Box
         bool filtering = false;
     };
 
-    void acceptRequests(Cycle cycle);
-    void process(Cycle cycle);
+    // Each step returns whether it made progress.
+    bool acceptRequests(Cycle cycle);
+    bool process(Cycle cycle);
     void planRequest(Active& active);
-    void finish(Cycle cycle);
+    bool finish(Cycle cycle);
 
     const GpuConfig& _config;
     const u32 _unit;

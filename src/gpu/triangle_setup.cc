@@ -19,20 +19,20 @@ TriangleSetup::TriangleSetup(sim::SignalBinder& binder,
               config.setupLatency, config.fragmentGenQueue);
 }
 
-void
+bool
 TriangleSetup::update(Cycle cycle)
 {
-    _in.clock(cycle);
-    _out.clock(cycle);
+    const bool arrivals = _in.clock(cycle);
+    const bool credits = _out.clock(cycle);
 
     if (_in.empty() || !_out.canSend(cycle))
-        return;
+        return arrivals || credits;
     _statBusy.inc();
 
     TriangleObjPtr tri = _in.pop(cycle);
     if (tri->isMarker()) {
         _out.send(cycle, tri);
-        return;
+        return true;
     }
     _statTriangles.inc();
 
@@ -63,9 +63,10 @@ TriangleSetup::update(Cycle cycle)
 
     if (!tri->setup.valid) {
         _statCulled.inc();
-        return;
+        return true;
     }
     _out.send(cycle, tri);
+    return true;
 }
 
 bool

@@ -136,34 +136,39 @@ ZStencilTest::HzEnqueue::operator()(u32 tileIndex, f32 maxZ) const
     owner->_hzQueue.push_back(std::move(upd));
 }
 
-void
-ZStencilTest::processControl(Cycle cycle)
+bool
+ZStencilTest::processControl(Cycle cycle, Cycle& wake)
 {
     if (_ctrlPhase == CtrlPhase::Clearing) {
-        if (cycle < _ctrlDoneAt || !_ack.canSend(cycle))
-            return;
+        if (cycle < _ctrlDoneAt) {
+            wake = _ctrlDoneAt;
+            return false;
+        }
+        if (!_ack.canSend(cycle))
+            return false;
         auto ack = std::make_shared<AckObj>();
         ack->kind = _ctrlKind;
         ack->unit = _unit;
         _ack.send(cycle, ack);
         _ctrlPhase = CtrlPhase::None;
-        return;
+        return true;
     }
     if (_ctrlPhase == CtrlPhase::Flushing) {
+        // Flush progress shows in the cache's changes().
         if (!_cache.flushStep(cycle, _mem, MemClient::ZCache))
-            return;
+            return false;
         if (!_ack.canSend(cycle))
-            return;
+            return false;
         auto ack = std::make_shared<AckObj>();
         ack->kind = _ctrlKind;
         ack->unit = _unit;
         _ack.send(cycle, ack);
         _ctrlPhase = CtrlPhase::None;
-        return;
+        return true;
     }
 
     if (_ctrl.empty())
-        return;
+        return false;
     ControlObjPtr ctrl = _ctrl.pop(cycle);
     _ctrlKind = ctrl->kind;
     const RenderState& state = *ctrl->state;
@@ -206,11 +211,11 @@ ZStencilTest::processControl(Cycle cycle)
         _prevWasLate = false;
         _gateBatch = ~0u;
         _ctrlPhase = CtrlPhase::Clearing;
-        return;
+        return true;
     }
     if (ctrl->kind == ControlKind::Flush) {
         _ctrlPhase = CtrlPhase::Flushing;
-        return;
+        return true;
     }
     panic("ZStencilTest: unexpected control message");
 }
@@ -271,29 +276,37 @@ ZStencilTest::zAccess(Cycle cycle, QuadObj& quad, bool shaded)
     return true;
 }
 
-void
+bool
 ZStencilTest::processEarly(Cycle cycle)
 {
     if (_earlyIn.empty())
-        return;
+        return false;
     const QuadObjPtr& head = _earlyIn.front();
 
     if (head->isMarker()) {
+        // Updated even when the marker must wait below, so a retry
+        // changes the gate again: that is progress.
+        bool gateChanged = false;
         if (head->marker == MarkerKind::BatchStart) {
             // A batch's early Z accesses must wait until the
             // previous batch — if it tested after shading — has
             // finished its own Z accesses.
-            _gateBatch = _prevWasLate ? _prevBatchId : ~0u;
-            _prevWasLate = head->state && !head->state->earlyZ();
+            const u32 gate = _prevWasLate ? _prevBatchId : ~0u;
+            const bool late = head->state && !head->state->earlyZ();
+            gateChanged = gate != _gateBatch ||
+                          late != _prevWasLate ||
+                          head->batchId != _prevBatchId;
+            _gateBatch = gate;
+            _prevWasLate = late;
             _prevBatchId = head->batchId;
         }
         // Markers take the same delay pipeline as quads so they can
         // never overtake work of their own batch.
         if (_delayInterp.size() >= 8)
-            return;
+            return gateChanged;
         _delayInterp.push_back(
             {cycle + _config.ropLatency, _earlyIn.pop(cycle)});
-        return;
+        return true;
     }
 
     // Cross-batch hazard: an early-tested batch must not access the
@@ -301,7 +314,7 @@ ZStencilTest::processEarly(Cycle cycle)
     // accesses.
     if (head->marker == MarkerKind::None && !head->lateZPath) {
         if (_gateBatch != ~0u && !_lateDone.count(_gateBatch))
-            return;
+            return false;
     }
 
     QuadObjPtr quad = _earlyIn.front();
@@ -309,103 +322,111 @@ ZStencilTest::processEarly(Cycle cycle)
     if (quad->lateZPath) {
         // Late-Z batch: pass through untested.
         if (!_toInterp.canSend(cycle))
-            return;
+            return false;
         _toInterp.send(cycle, _earlyIn.pop(cycle));
         _statQuads.inc();
-        return;
+        return true;
     }
 
     if (_delayInterp.size() >= 8)
-        return; // Output pipeline full.
+        return false; // Output pipeline full.
     if (!zAccess(cycle, *quad, false))
-        return; // Cache miss; retry.
+        return false; // Cache miss (progress shows in changes()).
     _earlyIn.pop(cycle);
     _statQuads.inc();
 
     const bool alive = quad->coverage[0] || quad->coverage[1] ||
                        quad->coverage[2] || quad->coverage[3];
-    if (!alive)
-        return; // Fully culled quads leave the pipeline here.
-    _delayInterp.push_back({cycle + _config.ropLatency, quad});
+    if (alive) // Fully culled quads leave the pipeline here.
+        _delayInterp.push_back({cycle + _config.ropLatency, quad});
+    return true;
 }
 
-void
+bool
 ZStencilTest::processLate(Cycle cycle)
 {
     if (_lateIn.empty())
-        return;
+        return false;
     const QuadObjPtr& head = _lateIn.front();
 
     if (head->isMarker()) {
         if (_delayRopc.size() >= 8)
-            return;
+            return false;
         auto marker = _lateIn.pop(cycle);
         if (marker->marker == MarkerKind::BatchEnd)
             _lateDone.insert(marker->batchId);
         _delayRopc.push_back({cycle + _config.ropLatency, marker});
-        return;
+        return true;
     }
 
     QuadObjPtr quad = _lateIn.front();
     if (_delayRopc.size() >= 8)
-        return;
+        return false;
     if (!zAccess(cycle, *quad, true))
-        return;
+        return false;
     _lateIn.pop(cycle);
     _statQuads.inc();
 
     const bool alive = quad->coverage[0] || quad->coverage[1] ||
                        quad->coverage[2] || quad->coverage[3];
-    if (!alive)
-        return;
-    _delayRopc.push_back({cycle + _config.ropLatency, quad});
+    if (alive)
+        _delayRopc.push_back({cycle + _config.ropLatency, quad});
+    return true;
 }
 
-void
-ZStencilTest::drainOutputs(Cycle cycle)
+bool
+ZStencilTest::drainOutputs(Cycle cycle, Cycle& wake)
 {
-    while (!_delayInterp.empty() &&
-           _delayInterp.front().readyAt <= cycle &&
-           _toInterp.canSend(cycle)) {
-        _toInterp.send(cycle,
-                       std::move(_delayInterp.front().quad));
-        _delayInterp.pop_front();
-    }
-    while (!_delayRopc.empty() &&
-           _delayRopc.front().readyAt <= cycle &&
-           _toRopc.canSend(cycle)) {
-        _toRopc.send(cycle, std::move(_delayRopc.front().quad));
-        _delayRopc.pop_front();
-    }
+    bool progress = false;
+    const auto drain = [&](sim::RingQueue<Delayed>& delay,
+                           LinkTx& out) {
+        while (!delay.empty() && out.canSend(cycle)) {
+            if (delay.front().readyAt > cycle) {
+                wake = std::min(wake, delay.front().readyAt);
+                break;
+            }
+            out.send(cycle, std::move(delay.front().quad));
+            delay.pop_front();
+            progress = true;
+        }
+    };
+    drain(_delayInterp, _toInterp);
+    drain(_delayRopc, _toRopc);
+    return progress;
 }
 
-void
+bool
 ZStencilTest::sendHzUpdates(Cycle cycle)
 {
+    bool progress = false;
     while (!_hzQueue.empty() && _hzUpdates.canSend(cycle)) {
         _hzUpdates.send(cycle, std::move(_hzQueue.front()));
         _hzQueue.pop_front();
+        progress = true;
     }
+    return progress;
 }
 
-void
+bool
 ZStencilTest::update(Cycle cycle)
 {
-    _earlyIn.clock(cycle);
-    _lateIn.clock(cycle);
-    _toInterp.clock(cycle);
-    _toRopc.clock(cycle);
-    _hzUpdates.clock(cycle);
-    _ctrl.clock(cycle);
-    _ack.clock(cycle);
-    _mem.clock(cycle);
+    bool progress = _earlyIn.clock(cycle);
+    progress |= _lateIn.clock(cycle);
+    progress |= _toInterp.clock(cycle);
+    progress |= _toRopc.clock(cycle);
+    progress |= _hzUpdates.clock(cycle);
+    progress |= _ctrl.clock(cycle);
+    progress |= _ack.clock(cycle);
+    progress |= _mem.clock(cycle);
+    const u64 cacheChanges = _cache.changes();
 
-    processControl(cycle);
+    Cycle wake = NoWake;
+    progress |= processControl(cycle, wake);
     if (_ctrlPhase == CtrlPhase::None) {
         const u64 quadsBefore = _statQuads.liveTotal();
-        drainOutputs(cycle);
-        processLate(cycle);
-        processEarly(cycle);
+        progress |= drainOutputs(cycle, wake);
+        progress |= processLate(cycle);
+        progress |= processEarly(cycle);
         // Double-rate Z (paper §7 extension): a second quad per
         // cycle when the head of an input belongs to a
         // depth/stencil-only pass (colour writes masked).
@@ -415,19 +436,23 @@ ZStencilTest::update(Cycle cycle)
                        rx.front()->state->blend.colorMask == 0;
             };
             if (depthOnlyHead(_lateIn))
-                processLate(cycle);
+                progress |= processLate(cycle);
             if (depthOnlyHead(_earlyIn))
-                processEarly(cycle);
+                progress |= processEarly(cycle);
         }
         if (_statQuads.liveTotal() != quadsBefore)
             _statBusy.inc();
         _cache.clock(cycle, _mem, MemClient::ZCache);
     }
-    sendHzUpdates(cycle);
+    progress |= sendHzUpdates(cycle);
     _statQuads.commit();
     _statFragsTested.commit();
     _statFragsPassed.commit();
     _statBusy.commit();
+    progress |= _cache.changes() != cacheChanges;
+    if (!progress && wake != NoWake)
+        wakeAt(wake);
+    return progress;
 }
 
 bool

@@ -72,12 +72,8 @@ class ZStencilTest : public sim::Box
                  const GpuConfig& config, u32 unit,
                  emu::GpuMemory& memory);
 
-    void update(Cycle cycle) override;
+    bool update(Cycle cycle) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet (delay pipelines and control
-     * phases count as held work). */
-    bool busy() const override { return !empty(); }
 
     /** Wire the Z cache's hit/miss events (cache unit name = box
      * name, matching the cacheHits/cacheMisses statistics). */
@@ -90,14 +86,17 @@ class ZStencilTest : public sim::Box
   private:
     enum class CtrlPhase : u8 { None, Clearing, Flushing };
 
-    void processControl(Cycle cycle);
-    void processEarly(Cycle cycle);
-    void processLate(Cycle cycle);
+    // The steps of update() return whether they made progress.
+    /** Sets @p wake while a clear is still under way. */
+    bool processControl(Cycle cycle, Cycle& wake);
+    bool processEarly(Cycle cycle);
+    bool processLate(Cycle cycle);
     /** Run the z/stencil test on @p quad.  Returns false when the
      * access must be retried (cache miss / blocked). */
     bool zAccess(Cycle cycle, QuadObj& quad, bool shaded);
-    void drainOutputs(Cycle cycle);
-    void sendHzUpdates(Cycle cycle);
+    /** Also lowers @p wake to the earliest delayed output. */
+    bool drainOutputs(Cycle cycle, Cycle& wake);
+    bool sendHzUpdates(Cycle cycle);
 
     const GpuConfig& _config;
     const u32 _unit;

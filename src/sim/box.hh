@@ -19,9 +19,9 @@
  *                     single writer box, so phase B is also free of
  *                     cross-box hazards.
  *
- * ClockDomain::clock runs phase A for every box of a domain, then
- * phase B for every box.  clock() bundles both phases
- * for single-box harnesses and tests.
+ * ClockDomain::clock runs phase A for every awake box of a domain,
+ * then phase B for the same boxes.  clock() bundles both phases for
+ * single-box harnesses and tests.
  */
 
 #ifndef ATTILA_SIM_BOX_HH
@@ -37,6 +37,8 @@
 
 namespace attila::sim
 {
+
+class ClockDomain;
 
 /** Base class for all simulated pipeline units. */
 class Box
@@ -61,9 +63,11 @@ class Box
 
     /**
      * Phase A: read inputs, advance internal state, stage output
-     * writes.  Must not touch state owned by another box.
+     * writes.  Must not touch state owned by another box.  Returns
+     * whether the box made progress (see the activity contract
+     * below); a box that returns false sleeps.
      */
-    virtual void update(Cycle cycle) = 0;
+    virtual bool update(Cycle cycle) = 0;
 
     /**
      * Phase B: publish the output writes staged during update().
@@ -93,78 +97,76 @@ class Box
      */
     virtual bool empty() const { return true; }
 
-    // ===== Activity contract (idle skipping) =======================
+    // ===== Activity contract (tick on progress) ====================
     //
-    // A box is *provably idle* at a cycle when its update() would be
-    // a semantic no-op: no internal state to advance, no input
-    // traffic to consume, no scheduled wakeup due.  The clock loop
-    // may then skip both phases for the cycle without changing any
-    // observable (cycle counts, statistics, signal traffic) — the
-    // basis for the engine's activity-driven clocking.
+    // update() returns whether the box made *progress*.  A box that
+    // returns false *sleeps*: the clock loop stops clocking it until
+    // one of these events wakes it:
+    //
+    //  - an object committed to one of its input signals (data or a
+    //    returned link credit) arrives: the box is clocked at the
+    //    arrival cycle;
+    //  - a cycle it announced with wakeAt() comes;
+    //  - a statistics window closes: the box is settled, not clocked;
+    //  - the box is handed work from outside the clock loop
+    //    (CommandProcessor::submit calls wakeAt).
     //
     // Contract for implementors:
-    //  - busy() must return true whenever update() does anything
-    //    observable that is not triggered by input-signal traffic
-    //    (stat increments count!).  The default returns true, so a
-    //    box that does not opt in is simply always clocked.
-    //  - Work that begins at a known future cycle while the box is
-    //    otherwise idle must be announced with wakeAt(); the
-    //    clock loop guarantees the box is clocked no later than the
-    //    announced cycle.  A box that is busy() until the work lands
-    //    never needs wakeAt().
-    //  - Input traffic needs no reporting: every registered input
-    //    signal holding an in-flight object keeps the box awake
-    //    automatically (signal delivery marks the consumer active).
+    //  - Return false only when clocking the box again before one of
+    //    those events would change nothing but what settle()
+    //    replays.  The usual rule: the box's state did not change
+    //    this cycle (nothing read, sent, popped, moved, computed), so
+    //    every later update() until an event is the same blocked
+    //    update().  When unsure, return true: an extra clock is always
+    //    correct, a missed one is not.
+    //  - Every condition update() compares against the cycle number
+    //    (a delay line's ready time, a timer, a scoreboard) must be
+    //    announced with wakeAt(thatCycle) before returning false.
+    //  - The per-cycle side effects of a blocked update() (busy and
+    //    stall counters, a round-robin pointer that advances on every
+    //    call) are replayed by settle(n), with n the exact number of
+    //    cycles the box slept.  The clock loop calls it before the
+    //    box's next update() and before every statistics window
+    //    closes, so totals and windowed statistics stay exact.
+    //  - A box that does not model its blocked states may return
+    //    !empty(): it is then clocked every cycle while it holds work
+    //    and sleeps once drained.
+    //
+    // idleSkip=false (Simulator::setIdleSkip) clocks every box every
+    // cycle and ignores the return value: the oracle every observable
+    // of the activity-driven path is compared against.
 
     /**
-     * True while update() may have observable work that is not
-     * driven by input-signal traffic.  Override to opt in to idle
-     * skipping; the conservative default keeps the box clocked
-     * every cycle.
+     * Replay the side effects of @p cycles consecutive no-progress
+     * update() calls the clock loop skipped.  The box's state is
+     * exactly what the last update() left.
      */
-    virtual bool busy() const { return true; }
+    virtual void settle(Cycle cycles) { (void)cycles; }
 
     /** Sentinel for "no wakeup scheduled". */
     static constexpr Cycle NoWake = ~Cycle{0};
 
-    /** Earliest scheduled wakeup, or NoWake. */
-    Cycle nextWake() const { return _nextWake; }
+    /** Cycles this box's update() ran (host-side counter, not a
+     * Statistic: it differs between idleSkip on and off). */
+    u64 clockedCycles() const { return _clockedCycles; }
 
     /**
-     * True when the clock loop may skip this box at @p cycle: not
-     * busy, no wakeup due, and no object in flight on any input
-     * signal.  An object is counted from the moment its writer
-     * commits until it is read, so a sleeping consumer is clocked
-     * throughout the delivery window and can never miss an arrival
-     * (which would otherwise trip the signal's data-loss check).
+     * Clock-loop entry point for phase A: settle the cycles slept
+     * since the last update(), then run update().
      */
     bool
-    idleAt(Cycle cycle) const
-    {
-        if (busy())
-            return false;
-        if (cycle >= _nextWake)
-            return false;
-        for (const Signal* signal : _inputSignals) {
-            if (!signal->fastEmpty())
-                return false;
-        }
-        return true;
-    }
-
-    /**
-     * Clock-loop entry point for phase A: clears an expired wakeup
-     * hint (the box re-arms it from update() when needed) and runs
-     * update().
-     */
-    void
     beginUpdate(Cycle cycle)
     {
-        if (cycle >= _nextWake)
-            _nextWake = NoWake;
+        settleTo(cycle);
+        _settledTo = cycle + 1;
+        ++_clockedCycles;
         if constexpr (kEventTraceCompiled) {
-            // Activity span bookkeeping.
+            // Activity spans cover the clocked cycles: a gap since
+            // the last clock closes the open span and opens a new
+            // one.
             if (_eventTrace) [[unlikely]] {
+                if (_spanOpen && _spanLast + 1 != cycle)
+                    finishEventSpan();
                 if (!_spanOpen) {
                     _eventTrace->emit(EventKind::SpanBegin, cycle,
                                       _eventTraceId);
@@ -173,24 +175,27 @@ class Box
                 _spanLast = cycle;
             }
         }
-        update(cycle);
+        return update(cycle);
+    }
+
+    /** Replay (settle) every cycle slept before @p cycle. */
+    void
+    settleTo(Cycle cycle)
+    {
+        if (cycle > _settledTo) {
+            settle(cycle - _settledTo);
+            _settledTo = cycle;
+        }
     }
 
     /**
-     * Per-cycle skip latch, written by the skip pass before any box
-     * is clocked and read back in phase B so a skipped box also
-     * skips propagate().
+     * Make sure this box is clocked no later than @p cycle.  A cycle
+     * that has already begun means the next one.  Signals call it
+     * for the reader at every arrival.  Before the box is added to a
+     * clock domain the request is held and handed over at
+     * registration.  (Defined with ClockDomain.)
      */
-    void
-    markSkipped(bool skipped)
-    {
-        if constexpr (kEventTraceCompiled) {
-            if (_eventTrace && skipped) [[unlikely]]
-                finishEventSpan();
-        }
-        _skipped = skipped;
-    }
-    bool skipped() const { return _skipped; }
+    inline void wakeAt(Cycle cycle);
 
     // ===== Structured event tracing ================================
 
@@ -217,8 +222,8 @@ class Box
 
     /**
      * Close an open activity span one cycle past the last clocked
-     * cycle.  Called when the box is skipped and at trace
-     * collection, so spans of boxes that never go idle still
+     * cycle.  Called when the box is clocked again after a gap and
+     * at trace collection, so spans of boxes that never sleep still
      * terminate.
      */
     void
@@ -258,36 +263,30 @@ class Box
         return _stats.get(_name, stat_name);
     }
 
-    /**
-     * Announce that this box, though currently not busy(), has work
-     * scheduled at @p cycle.  Earlier of the two wins when a wakeup
-     * is already pending; the hint is cleared when the box is next
-     * clocked at or after the announced cycle.
-     */
-    void
-    wakeAt(Cycle cycle)
-    {
-        if (cycle < _nextWake)
-            _nextWake = cycle;
-    }
-
     SignalBinder& binder() { return _binder; }
     StatisticManager& statistics() { return _stats; }
 
   private:
-    // The binder appends every signal this box writes or reads,
-    // regardless of whether registration went through
-    // input()/output() or a helper (links, memory ports) talking to
-    // the binder directly.
+    // The binder appends every signal this box writes, and makes the
+    // box the reader of every signal it reads, regardless of whether
+    // registration went through input()/output() or a helper (links,
+    // memory ports) talking to the binder directly.
     friend class SignalBinder;
+    friend class ClockDomain;
 
     SignalBinder& _binder;
     StatisticManager& _stats;
     std::string _name;
     std::vector<Signal*> _outputSignals;
-    std::vector<Signal*> _inputSignals;
-    Cycle _nextWake = NoWake;
-    bool _skipped = false;
+    ClockDomain* _domain = nullptr;
+    u32 _domainIndex = 0;
+    /** Earliest wake requested before the box joined a domain. */
+    Cycle _heldWake = NoWake;
+    /** The last wake timer armed in the domain for this box. */
+    Cycle _timerAt = NoWake;
+    /** Cycles before this one are settled (or were clocked). */
+    Cycle _settledTo = 0;
+    u64 _clockedCycles = 0;
     EventTrace* _eventTrace = nullptr;
     u16 _eventTraceId = 0;
     bool _spanOpen = false;
@@ -295,5 +294,8 @@ class Box
 };
 
 } // namespace attila::sim
+
+// Box::wakeAt is defined with ClockDomain.
+#include "sim/clock_domain.hh"
 
 #endif // ATTILA_SIM_BOX_HH

@@ -20,6 +20,7 @@
 #define ATTILA_SIM_CLOCK_DOMAIN_HH
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -64,11 +65,31 @@ class ClockDomain
     /** Domain-local cycle counter (cycles completed so far). */
     Cycle cycle() const { return _cycle; }
 
-    /** Register a box to be clocked with this domain (not owned). */
+    /**
+     * Register a box to be clocked with this domain (not owned).  A
+     * new box starts awake; a wake it requested before registration
+     * is scheduled now.
+     */
     void
     addBox(Box* box)
     {
+        if (box->_domain)
+            fatal("box '", box->name(), "' is already in clock domain '",
+                  box->_domain->name(), "'");
+        const u32 index = static_cast<u32>(_boxes.size());
         _boxes.push_back(box);
+        if (_awake.size() * 64 < _boxes.size()) {
+            _awake.push_back(0);
+            _run.push_back(0);
+        }
+        box->_domain = this;
+        box->_domainIndex = index;
+        box->_settledTo = _cycle;
+        setAwake(index);
+        if (box->_heldWake != Box::NoWake) {
+            wake(*box, box->_heldWake);
+            box->_heldWake = Box::NoWake;
+        }
     }
 
     const std::vector<Box*>& boxes() const { return _boxes; }
@@ -81,54 +102,100 @@ class ClockDomain
     }
 
     /**
+     * Make sure @p box is clocked no later than domain cycle
+     * @p cycle: set its awake bit when that is the next cycle to
+     * run (or earlier), else arm a timer.  Repeating the box's last
+     * timer request arms nothing new.
+     */
+    void
+    wake(Box& box, Cycle cycle)
+    {
+        if (cycle <= _horizon) {
+            setAwake(box._domainIndex);
+            return;
+        }
+        if (cycle == box._timerAt)
+            return;
+        box._timerAt = cycle;
+        _timers.push_back({cycle, box._domainIndex});
+        std::push_heap(_timers.begin(), _timers.end(), laterTimer);
+    }
+
+    /**
      * Run the domain's current cycle: phase A (update) for every
-     * box, then phase B (propagate), then advance the cycle counter.
-     * Every signal has latency >= 1 and writes are published only in
-     * phase B, so the order of boxes within a phase cannot change the
-     * modelled behaviour.
+     * awake box, then phase B (propagate) for the same boxes, then
+     * advance the cycle counter.  Every signal has latency >= 1 and
+     * writes are published only in phase B, so the order of boxes
+     * within a phase cannot change the modelled behaviour; both
+     * phases still run in registration order.
      *
-     * With @p idleSkip, boxes that are provably idle (Box::idleAt)
-     * skip both phases, and whether every box was skipped is recorded
-     * for the simulator's fast-forward check.  Without it every box
-     * runs both phases: the always-clock reference path, with
-     * identical observables.
+     * A box stays awake for the next cycle when its update()
+     * reported progress; otherwise it sleeps until a signal arrival,
+     * a wakeAt() timer or an outside wake sets its bit again.
+     * Without @p idleSkip every box runs both phases every cycle:
+     * the always-clock oracle, with identical observables.
      */
     void
     clock(bool idleSkip)
     {
-        bool allIdle = true;
-        for (Box* box : _boxes) {
-            const bool skip = idleSkip && box->idleAt(_cycle);
-            box->markSkipped(skip);
-            if (!skip) {
-                allIdle = false;
-                box->beginUpdate(_cycle);
-            }
+        const Cycle cycle = _cycle;
+        while (!_timers.empty() && _timers.front().at <= cycle) {
+            setAwake(_timers.front().box);
+            std::pop_heap(_timers.begin(), _timers.end(), laterTimer);
+            _timers.pop_back();
         }
-        for (Box* box : _boxes) {
-            if (!box->skipped())
-                box->propagate(_cycle);
+        if (!idleSkip) {
+            for (std::size_t i = 0; i < _boxes.size(); ++i)
+                setAwake(static_cast<u32>(i));
         }
-        _lastAllIdle = allIdle;
+        _run.swap(_awake);
+        std::fill(_awake.begin(), _awake.end(), u64{0});
+        _horizon = cycle + 1;
+
+        forEachBit(_run, [&](u32 i) {
+            if (_boxes[i]->beginUpdate(cycle))
+                setAwake(i);
+        });
+        forEachBit(_run, [&](u32 i) { _boxes[i]->propagate(cycle); });
         ++_cycle;
     }
 
     /** Complete @p n domain cycles at once (whole-domain
      * fast-forward: the skipped cycles clock no boxes). */
-    void advanceBy(u64 n) { _cycle += n; }
+    void
+    advanceBy(u64 n)
+    {
+        _cycle += n;
+        _horizon = _cycle;
+    }
 
-    /** Whether the last clock() skipped every box; read by the
-     * simulator's fast-forward check. */
-    bool lastAllIdle() const { return _lastAllIdle; }
+    /** True when no box is awake for the next cycle: until the
+     * earliest timer (nextWake()) fires, clock() would clock
+     * nothing. */
+    bool
+    asleep() const
+    {
+        for (u64 word : _awake) {
+            if (word)
+                return false;
+        }
+        return true;
+    }
 
-    /** Earliest wakeup scheduled by any box, or Box::NoWake. */
+    /** Earliest armed timer, or Box::NoWake. */
     Cycle
     nextWake() const
     {
-        Cycle wake = Box::NoWake;
-        for (const Box* box : _boxes)
-            wake = std::min(wake, box->nextWake());
-        return wake;
+        return _timers.empty() ? Box::NoWake : _timers.front().at;
+    }
+
+    /** Settle every sleeping box up to the current cycle, so
+     * statistics read now are exact (see Box::settle). */
+    void
+    settleAll()
+    {
+        for (Box* box : _boxes)
+            box->settleTo(_cycle);
     }
 
     /** True when every box of the domain reports no in-flight work. */
@@ -143,13 +210,62 @@ class ClockDomain
     }
 
   private:
+    struct Timer
+    {
+        Cycle at;
+        u32 box;
+    };
+
+    /** Heap order: the earliest timer on top. */
+    static bool
+    laterTimer(const Timer& a, const Timer& b)
+    {
+        return a.at > b.at;
+    }
+
+    void
+    setAwake(u32 index)
+    {
+        _awake[index >> 6] |= u64{1} << (index & 63);
+    }
+
+    /** Call @p fn with every set bit of @p bits, in index order. */
+    template <typename Fn>
+    static void
+    forEachBit(const std::vector<u64>& bits, Fn&& fn)
+    {
+        for (std::size_t w = 0; w < bits.size(); ++w) {
+            for (u64 word = bits[w]; word; word &= word - 1) {
+                fn(static_cast<u32>(w * 64 +
+                                    std::countr_zero(word)));
+            }
+        }
+    }
+
     std::string _name;
     u32 _divider;
     u64 _frequencyMHz = 0;
     std::vector<Box*> _boxes;
+    /** Boxes to clock at the next clock() (one bit per box). */
+    std::vector<u64> _awake;
+    /** The boxes clock() is running this cycle. */
+    std::vector<u64> _run;
+    /** Min-heap of wake timers. */
+    std::vector<Timer> _timers;
     Cycle _cycle = 0;
-    bool _lastAllIdle = false;
+    /** The next cycle whose awake set is still open: a wake at or
+     * before it sets the awake bit instead of arming a timer. */
+    Cycle _horizon = 0;
 };
+
+inline void
+Box::wakeAt(Cycle cycle)
+{
+    if (_domain)
+        _domain->wake(*this, cycle);
+    else if (cycle < _heldWake)
+        _heldWake = cycle;
+}
 
 } // namespace attila::sim
 

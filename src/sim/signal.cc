@@ -1,5 +1,6 @@
 #include "sim/signal.hh"
 
+#include "sim/box.hh"
 #include "sim/event_trace.hh"
 #include "sim/logging.hh"
 #include "sim/signal_trace.hh"
@@ -113,6 +114,8 @@ Signal::publish(Cycle cycle, DynamicObjectPtr obj)
     }
 
     slot.objects.push_back(std::move(obj));
+    if (_reader)
+        _reader->wakeAt(arrival);
     ++_live;
     ++_totalWrites;
     if (_writeStat)

@@ -34,6 +34,7 @@
 namespace attila::sim
 {
 
+class Box;
 class EventTrace;
 class SignalTraceWriter;
 class Statistic;
@@ -160,14 +161,12 @@ class Signal
     u64 inFlight() const;
 
     /**
-     * True when no committed-but-unread object is inside the wire.
-     * O(1) — this is the idle-skip hot path, polled for every input
-     * of every candidate box each cycle.  Staged (uncommitted)
-     * writes are deliberately *not* counted: they belong to the
-     * writer's in-progress cycle and only become observable once the
-     * writer commits.
+     * Set the reader box (SignalBinder, on the reader's
+     * registration).  Every published object wakes it at its
+     * arrival cycle (Box::wakeAt), so a sleeping reader is clocked
+     * exactly when the object can be read.
      */
-    bool fastEmpty() const { return _live == 0; }
+    void setReader(Box* reader) { _reader = reader; }
 
     /** Attach a trace writer; every write is then recorded. */
     void setTracer(SignalTraceWriter* tracer) { _tracer = tracer; }
@@ -231,6 +230,7 @@ class Signal
      * two so the per-poll ring index is a mask, not a division. */
     Cycle _slotMask = 0;
     std::vector<PendingWrite> _pending;
+    Box* _reader = nullptr;
     SignalTraceWriter* _tracer = nullptr;
     Statistic* _writeStat = nullptr;
     EventTrace* _eventTrace = nullptr;

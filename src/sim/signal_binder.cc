@@ -60,7 +60,7 @@ SignalBinder::registerSignal(Box* box, const std::string& name,
                   "' registered as reader");
         }
         entry.reader = box;
-        box->_inputSignals.push_back(entry.signal.get());
+        entry.signal->setReader(box);
     }
     return entry.signal.get();
 }

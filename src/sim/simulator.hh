@@ -5,7 +5,8 @@
  * The simulator owns the signal binder, the statistic manager and
  * the clock domains grouping the boxes.  Each master tick clocks
  * every domain whose divider matches (ClockDomain::clock: phase A for
- * every box, then phase B), then closes the statistics window.
+ * every awake box, then phase B), then closes the statistics window
+ * when one ends, after settling every sleeping box (Box::settle).
  *
  * A Simulator, and every object its model hands out, is used by one
  * thread at a time.  Independent Simulators may run on different
@@ -87,10 +88,10 @@ class Simulator
 
     /**
      * Enable or disable activity-driven clocking (default on):
-     * per-box idle skipping in ClockDomain::clock plus the
-     * whole-model fast-forward in run().  Off restores the
-     * always-clock reference path; observables are identical either
-     * way.
+     * ClockDomain::clock visits only awake boxes, and run() and
+     * Gpu::runUntilIdle fast-forward while every domain sleeps.  Off
+     * clocks every box every cycle: the oracle path, with identical
+     * observables.
      */
     void setIdleSkip(bool enable) { _idleSkip = enable; }
 
@@ -163,7 +164,8 @@ class Simulator
                 d->clock(_idleSkip);
         }
         ++_tick;
-        _stats.cycle(_tick);
+        if (_stats.windowEndsAt(_tick))
+            closeWindow();
     }
 
     /** Run for @p cycles master ticks. */
@@ -175,38 +177,42 @@ class Simulator
             if (_idleSkip && i + 1 < cycles)
                 i += fastForward(cycles - i - 1);
         }
+        settle();
     }
 
     /**
-     * Whole-model fast-forward: when the last step skipped every
-     * box of every domain and no object is anywhere inside a wire,
-     * nothing can change state before the earliest scheduled box
-     * wakeup — so skip up to @p maxTicks master ticks in bulk,
-     * performing only the per-tick bookkeeping (domain cycle
-     * counters, statistics windows) the skipped steps would have
-     * done.  Returns the ticks skipped (0 when the model is not
-     * provably idle).  Observables stay bit-identical: the skipped
-     * steps would have clocked no box and closed the same all-zero
-     * statistics windows.
+     * Settle every sleeping box up to the current cycle (see
+     * Box::settle).  run() and Gpu::runUntilIdle do this before they
+     * return; call it before reading statistics after driving the
+     * model with step().
+     */
+    void
+    settle()
+    {
+        for (auto& d : _domains)
+            d->settleAll();
+    }
+
+    /**
+     * Whole-model fast-forward: when no box of any domain is awake,
+     * nothing can change state before the earliest wake timer (every
+     * object inside a wire has one armed for its arrival), so skip
+     * up to @p maxTicks master ticks in bulk, performing only the
+     * per-tick bookkeeping the skipped steps would have done: domain
+     * cycle counters, and the statistics windows, each closed after
+     * settling the sleeping boxes.  Returns the ticks skipped (0 when
+     * some box is awake).  Observables stay bit-identical: the
+     * skipped steps would have clocked no box.
      */
     u64
     fastForward(u64 maxTicks)
     {
         if (maxTicks == 0)
             return 0;
-        for (const auto& d : _domains) {
-            if (!d->lastAllIdle())
-                return 0;
-        }
-        // The per-domain flags can be stale for slow domains between
-        // their ticks (and say nothing about wires between domains),
-        // so additionally require every signal empty.  With no box
-        // busy and nothing in flight, the only future event is the
-        // earliest wakeup.
-        if (_binder.totalInFlight() != 0)
-            return 0;
         u64 skip = maxTicks;
         for (const auto& d : _domains) {
+            if (!d->asleep())
+                return 0;
             const Cycle wake = d->nextWake();
             if (wake == Box::NoWake)
                 continue;
@@ -221,19 +227,29 @@ class Simulator
             const u64 wakeTick = firstFire + (wake - local) * div;
             skip = std::min(skip, wakeTick - _tick);
         }
-        if (skip == 0)
-            return 0;
-        for (auto& d : _domains) {
-            const u64 div = d->divider();
-            const u64 rem = _tick % div;
-            const u64 firstFire = rem == 0 ? _tick : _tick + div - rem;
-            if (firstFire < _tick + skip) {
-                d->advanceBy((_tick + skip - 1 - firstFire) / div +
-                             1);
+        u64 left = skip;
+        while (left > 0) {
+            // Stop at every window boundary to settle and close it.
+            u64 chunk = left;
+            if (_stats.window() != 0)
+                chunk = std::min(chunk,
+                                 _stats.window() - _tick % _stats.window());
+            for (auto& d : _domains) {
+                const u64 div = d->divider();
+                const u64 rem = _tick % div;
+                const u64 firstFire =
+                    rem == 0 ? _tick : _tick + div - rem;
+                if (firstFire < _tick + chunk) {
+                    d->advanceBy((_tick + chunk - 1 - firstFire) /
+                                     div +
+                                 1);
+                }
             }
+            _tick += chunk;
+            left -= chunk;
+            if (_stats.windowEndsAt(_tick))
+                closeWindow();
         }
-        _stats.skipCycles(_tick, _tick + skip);
-        _tick += skip;
         return skip;
     }
 
@@ -260,6 +276,15 @@ class Simulator
     }
 
   private:
+    /** Settle the sleeping boxes, then close the statistics window
+     * ending at the current tick. */
+    void
+    closeWindow()
+    {
+        settle();
+        _stats.closeAllWindows();
+    }
+
     SignalBinder _binder;
     StatisticManager _stats;
     std::vector<std::unique_ptr<ClockDomain>> _domains;

@@ -141,33 +141,21 @@ class StatisticManager
     void setWindow(Cycle window) { _window = window; }
     Cycle window() const { return _window; }
 
-    /**
-     * Advance the sampling clock; closes a window on every multiple
-     * of the window size.
-     */
+    /** True when a sampling window ends at cycle @p now (every
+     * nonzero multiple of the window size). */
+    bool
+    windowEndsAt(Cycle now) const
+    {
+        return _window != 0 && now != 0 && now % _window == 0;
+    }
+
+    /** Advance the sampling clock to @p now, closing the window that
+     * ends there (the Simulator settles sleeping boxes first and
+     * closes it directly). */
     void
     cycle(Cycle now)
     {
-        if (_window == 0)
-            return;
-        if (now != 0 && now % _window == 0)
-            closeAllWindows();
-    }
-
-    /**
-     * Bulk form of cycle() for the simulator's whole-model
-     * fast-forward: closes exactly the windows that per-tick calls
-     * for every cycle in (@p from, @p to] would have closed.  The
-     * skipped cycles accumulated nothing, so the CSV rows come out
-     * bit-identical to stepping through them.
-     */
-    void
-    skipCycles(Cycle from, Cycle to)
-    {
-        if (_window == 0)
-            return;
-        const u64 closes = to / _window - from / _window;
-        for (u64 k = 0; k < closes; ++k)
+        if (windowEndsAt(now))
             closeAllWindows();
     }
 

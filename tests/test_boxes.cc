@@ -28,11 +28,12 @@ class HostBox : public sim::Box
         : Box(binder, stats, std::move(name))
     {}
 
-    void
+    bool
     update(Cycle cycle) override
     {
         if (tick)
             tick(cycle);
+        return true;
     }
 
     std::function<void(Cycle)> tick;

@@ -29,12 +29,13 @@ class ClientBox : public sim::Box
         mem.init(*this, binder, port, config.memoryRequestQueue);
     }
 
-    void
+    bool
     update(Cycle cycle) override
     {
         mem.clock(cycle);
         if (tick)
             tick(cycle);
+        return true;
     }
 
     MemPort mem;

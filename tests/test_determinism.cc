@@ -16,6 +16,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -147,60 +148,79 @@ expectIdentical(const RunFingerprint& reference,
     EXPECT_EQ(reference.windowsCsv, run.windowsCsv) << label;
 }
 
+/** A small scene and the memory model it runs on. */
+struct Scene
+{
+    const char* name;
+    std::unique_ptr<Workload> (*make)(const WorkloadParams&);
+    gpu::MemModel memModel;
+    gpu::DramSchedPolicy dramPolicy;
+};
+
+/** The four scenes FixedValuePin pins and IdleSkipBitIdentical
+ * checks: every workload on flat memory, plus cubes on banked DRAM
+ * with FR-FCFS scheduling. */
+const std::vector<Scene>&
+pinnedScenes()
+{
+    static const std::vector<Scene> scenes = {
+        {"terrain", makeWorkload<TerrainWorkload>,
+         gpu::MemModel::Flat, gpu::DramSchedPolicy::Fifo},
+        {"shadows", makeWorkload<ShadowsWorkload>,
+         gpu::MemModel::Flat, gpu::DramSchedPolicy::Fifo},
+        {"cubes", makeWorkload<CubesWorkload>, gpu::MemModel::Flat,
+         gpu::DramSchedPolicy::Fifo},
+        {"cubes-banked-frfcfs", makeWorkload<CubesWorkload>,
+         gpu::MemModel::Banked, gpu::DramSchedPolicy::FrFcfs},
+    };
+    return scenes;
+}
+
 } // anonymous namespace
 
 TEST(Determinism, IdleSkipBitIdentical)
 {
-    // Idle skipping is a pure wall-clock optimization: every
-    // observable (cycle count, stats windows and totals, pixels)
-    // must match the always-clocked run.
-    WorkloadParams params = smallParams();
-    TerrainWorkload workload(params);
-    const gpu::CommandList list = buildCommands(workload, params);
-
-    const RunFingerprint on = runWith(list, true);
-    const RunFingerprint off = runWith(list, false);
-    ASSERT_GT(off.cycles, 0u);
-    ASSERT_EQ(off.frames, params.frames);
-    expectIdentical(off, on, "idle-skip on/off");
+    // Idle skipping is a pure wall-clock optimization: on every
+    // pinned scene, every observable (cycle count, stats windows and
+    // totals, pixels) must match the always-clocked run.
+    const WorkloadParams params = smallParams();
+    for (const Scene& s : pinnedScenes()) {
+        const std::unique_ptr<Workload> workload = s.make(params);
+        const gpu::CommandList list =
+            buildCommands(*workload, params);
+        const RunFingerprint on =
+            runWith(list, true, s.memModel, s.dramPolicy);
+        const RunFingerprint off =
+            runWith(list, false, s.memModel, s.dramPolicy);
+        ASSERT_GT(off.cycles, 0u) << s.name;
+        ASSERT_EQ(off.frames, params.frames) << s.name;
+        expectIdentical(off, on, s.name);
+    }
 }
 
 TEST(Determinism, FixedValuePin)
 {
-    struct Case
+    // Pinned at smallParams(), statsWindow 1000; same order as
+    // pinnedScenes().
+    struct Pin
     {
-        const char* name;
-        std::unique_ptr<Workload> (*make)(const WorkloadParams&);
-        gpu::MemModel memModel;
-        gpu::DramSchedPolicy dramPolicy;
         u64 cycles;
         u64 totalsDigest;
         u64 fbHash;
     };
-    const auto terrain = makeWorkload<TerrainWorkload>;
-    const auto shadows = makeWorkload<ShadowsWorkload>;
-    const auto cubes = makeWorkload<CubesWorkload>;
-    const Case cases[] = {
-        {"terrain", terrain, gpu::MemModel::Flat,
-         gpu::DramSchedPolicy::Fifo, 21184,
-         0x897b0a5bf5809770ull,
-         0x48d99d8752406c84ull},
-        {"shadows", shadows, gpu::MemModel::Flat,
-         gpu::DramSchedPolicy::Fifo, 64448,
-         0x495c801f59221c7dull,
-         0x37267c4448793decull},
-        {"cubes", cubes, gpu::MemModel::Flat,
-         gpu::DramSchedPolicy::Fifo, 4800,
-         0xb028b824e6e0eb6cull,
-         0x44f2a1b1ed5f03a8ull},
-        {"cubes-banked-frfcfs", cubes, gpu::MemModel::Banked,
-         gpu::DramSchedPolicy::FrFcfs, 7872,
-         0x0bfeed929517d044ull,
-         0x44f2a1b1ed5f03a8ull},
+    const Pin pins[] = {
+        {21184, 0x897b0a5bf5809770ull, 0x48d99d8752406c84ull},
+        {64448, 0x495c801f59221c7dull, 0x37267c4448793decull},
+        {4800, 0xb028b824e6e0eb6cull, 0x44f2a1b1ed5f03a8ull},
+        {7872, 0x0bfeed929517d044ull, 0x44f2a1b1ed5f03a8ull},
     };
+    const std::vector<Scene>& scenes = pinnedScenes();
+    ASSERT_EQ(scenes.size(), std::size(pins));
 
     const WorkloadParams params = smallParams();
-    for (const Case& c : cases) {
+    for (std::size_t i = 0; i < scenes.size(); ++i) {
+        const Scene& c = scenes[i];
+        const Pin& pin = pins[i];
         const std::unique_ptr<Workload> workload = c.make(params);
         const RunFingerprint fp = runWith(
             buildCommands(*workload, params), true, c.memModel,
@@ -208,9 +228,9 @@ TEST(Determinism, FixedValuePin)
         Fnv1a totals;
         totals.add(fp.totalsCsv.data(), fp.totalsCsv.size());
         EXPECT_EQ(fp.frames, params.frames) << c.name;
-        EXPECT_EQ(fp.cycles, c.cycles) << c.name;
-        EXPECT_EQ(totals.value(), c.totalsDigest)
+        EXPECT_EQ(fp.cycles, pin.cycles) << c.name;
+        EXPECT_EQ(totals.value(), pin.totalsDigest)
             << c.name << ": stats totals CSV digest";
-        EXPECT_EQ(fp.fbHash, c.fbHash) << c.name << ": framebuffer";
+        EXPECT_EQ(fp.fbHash, pin.fbHash) << c.name << ": framebuffer";
     }
 }

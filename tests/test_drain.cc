@@ -109,13 +109,14 @@ TEST(DrainDetection, QuiescenceSeesInFlightSignalData)
         {
             _out = output("wire", 1, 20);
         }
-        void
+        bool
         update(Cycle cycle) override
         {
             if (!sent) {
                 _out->write(cycle, std::make_shared<sim::DynamicObject>());
                 sent = true;
             }
+            return true;
         }
         bool empty() const override { return sent; }
         sim::Signal* _out = nullptr;
@@ -131,11 +132,12 @@ TEST(DrainDetection, QuiescenceSeesInFlightSignalData)
         {
             _in = input("wire", 1, 20);
         }
-        void
+        bool
         update(Cycle cycle) override
         {
             if (_in->read(cycle))
                 ++received;
+            return true;
         }
         sim::Signal* _in = nullptr;
         u32 received = 0;

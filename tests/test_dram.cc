@@ -33,12 +33,13 @@ class ClientBox : public sim::Box
                  config.memoryRequestQueue);
     }
 
-    void
+    bool
     update(Cycle cycle) override
     {
         mem.clock(cycle);
         if (tick)
             tick(cycle);
+        return true;
     }
 
     MemPort mem;

@@ -71,14 +71,13 @@ class PeriodicBox : public Box
         wakeAt(0);
     }
 
-    void
+    bool
     update(Cycle cycle) override
     {
         ++updates;
         wakeAt(cycle + _period);
+        return false;
     }
-
-    bool busy() const override { return false; }
 
     u64 updates = 0;
 

@@ -418,20 +418,30 @@ TEST(Trace, RejectsCorruptFile)
 namespace
 {
 
-/** Write a trace with a valid magic followed by one raw record. */
+/** Write a trace with a valid magic, one raw record and a valid
+ * checksum trailer, so the reader gets past the checksum to the
+ * record itself. */
 void
 writeRawTrace(const std::string& path, u16 op, u32 blob_size,
               u32 padding)
 {
-    std::ofstream out(path, std::ios::binary);
-    out.write("AGLTRC01", 8);
+    std::string record;
     const u8 nscalars = 0;
-    out.write(reinterpret_cast<const char*>(&op), sizeof(op));
-    out.write(reinterpret_cast<const char*>(&nscalars), 1);
-    out.write(reinterpret_cast<const char*>(&blob_size),
-              sizeof(blob_size));
-    const std::string pad(padding, '\0');
-    out.write(pad.data(), static_cast<std::streamsize>(pad.size()));
+    record.append(reinterpret_cast<const char*>(&op), sizeof(op));
+    record.append(reinterpret_cast<const char*>(&nscalars), 1);
+    record.append(reinterpret_cast<const char*>(&blob_size),
+                  sizeof(blob_size));
+    record.append(padding, '\0');
+    u64 checksum = 0xcbf29ce484222325ull; // FNV-1a, 64-bit.
+    for (const char c : record) {
+        checksum ^= static_cast<u8>(c);
+        checksum *= 1099511628211ull;
+    }
+    std::ofstream out(path, std::ios::binary);
+    out.write("AGLTRC02", 8);
+    out.write(record.data(), static_cast<std::streamsize>(record.size()));
+    out.write(reinterpret_cast<const char*>(&checksum),
+              sizeof(checksum));
 }
 
 } // anonymous namespace
@@ -453,5 +463,43 @@ TEST(Trace, RejectsUnknownOpcode)
     // one past the last TraceOp.
     writeRawTrace(path, numTraceOps, 0, 4);
     EXPECT_THROW(TracePlayer player(path), FatalError);
+    std::remove(path.c_str());
+}
+
+TEST(Trace, RejectsChecksumMismatch)
+{
+    const std::string path = "test_gl_trace6.tmp";
+    {
+        Context ctx(32, 32, 1u << 20);
+        TraceRecorder recorder(path);
+        ctx.setRecorder(&recorder);
+        ctx.clearColor(0.1f, 0.2f, 0.3f, 1.0f);
+        ctx.clear(clearColorBit);
+        ctx.swapBuffers();
+    }
+    // The untouched trace loads.
+    EXPECT_EQ(TracePlayer(path).frameCount(), 1u);
+
+    // Flip one byte in the middle of the records.
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_GT(bytes.size(), 16u);
+    bytes[bytes.size() / 2] ^= 0x10;
+    {
+        std::ofstream out(path, std::ios::binary);
+        out.write(bytes.data(),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    try {
+        TracePlayer player(path);
+        ADD_FAILURE() << "corrupt trace loaded";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("checksum mismatch"),
+                  std::string::npos)
+            << e.what();
+    }
     std::remove(path.c_str());
 }

@@ -41,7 +41,7 @@ class NullBox : public Box
         : Box(binder, stats, std::move(name))
     {}
 
-    void update(Cycle) override {}
+    bool update(Cycle) override { return true; }
 
     Signal*
     addInput(const std::string& name, u32 bw, u32 lat)
@@ -534,7 +534,7 @@ class PulseBox : public Box
         _out = output(std::move(wire), 1, 1);
     }
 
-    void
+    bool
     update(Cycle cycle) override
     {
         if (_sent < _count) {
@@ -542,6 +542,7 @@ class PulseBox : public Box
             ++_sent;
             stat("sent").inc();
         }
+        return true;
     }
 
     bool empty() const override { return _sent >= _count; }
@@ -563,13 +564,14 @@ class SinkBox : public Box
         _in = input(std::move(wire), 1, 1);
     }
 
-    void
+    bool
     update(Cycle cycle) override
     {
         if (_in->read(cycle)) {
             ++received;
             stat("received").inc();
         }
+        return true;
     }
 
     Signal* _in;
@@ -585,12 +587,13 @@ class FaultyBox : public Box
         : Box(binder, stats, std::move(name)), _fault(fault_cycle)
     {}
 
-    void
+    bool
     update(Cycle cycle) override
     {
         if (cycle == _fault)
             panic("box '", name(), "': injected fault at cycle ",
                   cycle);
+        return true;
     }
 
   private:
@@ -651,7 +654,11 @@ TEST(ClockDomain, DividerGatesTicks)
                 std::string name)
             : Box(binder, stats, std::move(name))
         {}
-        void update(Cycle) override { ++ticks; }
+        bool update(Cycle) override
+        {
+            ++ticks;
+            return true;
+        }
         u32 ticks = 0;
     };
 
@@ -681,7 +688,11 @@ TEST(Simulator, DrainDetection)
         CountBox(SignalBinder& binder, StatisticManager& stats)
             : Box(binder, stats, "count")
         {}
-        void update(Cycle) override { ++ticks; }
+        bool update(Cycle) override
+        {
+            ++ticks;
+            return true;
+        }
         bool empty() const override { return ticks >= 5; }
         u32 ticks = 0;
     };

@@ -118,7 +118,7 @@ TEST(TimingProperties, MemoryPagePenaltyVisible)
             mem.init(*this, binder, "mc.t",
                      config.memoryRequestQueue);
         }
-        void
+        bool
         update(Cycle cycle) override
         {
             mem.clock(cycle);
@@ -134,6 +134,7 @@ TEST(TimingProperties, MemoryPagePenaltyVisible)
                 mem.request(cycle, txn);
                 ++sent;
             }
+            return true;
         }
         MemPort mem;
         std::vector<u32> addrs;
@@ -182,7 +183,7 @@ TEST(TimingProperties, ReadWriteTurnaroundVisible)
             mem.init(*this, binder, "mc.t",
                      config.memoryRequestQueue);
         }
-        void
+        bool
         update(Cycle cycle) override
         {
             mem.clock(cycle);
@@ -200,6 +201,7 @@ TEST(TimingProperties, ReadWriteTurnaroundVisible)
                 mem.request(cycle, txn);
                 ++sent;
             }
+            return true;
         }
         MemPort mem;
         bool alternate = false;
