@@ -36,96 +36,158 @@ readU32(const u8* p)
                             (p[3] << 24));
 }
 
+u64
+readU64(const u8* p)
+{
+    return static_cast<u64>(readU32(p)) |
+           (static_cast<u64>(readU32(p + 4)) << 32);
+}
+
+/** Read and convert the uncompressed texel at @p addr. */
+Vec4
+readTexel(TexFormat fmt, u32 addr, const MemoryReader& mem)
+{
+    switch (fmt) {
+      case TexFormat::LUM8: {
+        u8 l;
+        mem.read(addr, 1, &l);
+        const f32 v = l / 255.0f;
+        return {v, v, v, 1.0f};
+      }
+      case TexFormat::ALPHA8: {
+        u8 a;
+        mem.read(addr, 1, &a);
+        return {0.0f, 0.0f, 0.0f, a / 255.0f};
+      }
+      default: { // RGBA8
+        u8 px[4];
+        mem.read(addr, 4, px);
+        return {px[0] / 255.0f, px[1] / 255.0f, px[2] / 255.0f,
+                px[3] / 255.0f};
+      }
+    }
+}
+
+/** Where the texels of one mip level live: texelAddress() with the
+ * per-level terms hoisted out of per-texel loops. */
+struct LevelLayout
+{
+    u32 base;
+    u32 unit;   ///< Bytes per texel (DXT: per block).
+    u32 perRow; ///< Blocks (DXT) or 8x8 tiles per row.
+    bool compressed;
+
+    LevelLayout(const TextureDescriptor& desc, u32 face, u32 level)
+        : base(desc.mips[face][level].address),
+          unit(texFormatUnitBytes(desc.format)),
+          compressed(texFormatCompressed(desc.format))
+    {
+        const u32 width = desc.mips[face][level].width;
+        perRow = compressed ? (width + 3) / 4
+                            : (width + tileDim - 1) / tileDim;
+    }
+
+    u32
+    address(u32 x, u32 y) const
+    {
+        if (compressed)
+            return base + ((y / 4) * perRow + (x / 4)) * unit;
+        return base +
+               ((y / tileDim) * perRow + (x / tileDim)) * tileDim *
+                   tileDim * unit +
+               ((y % tileDim) * tileDim + (x % tileDim)) * unit;
+    }
+};
+
+/** Decode all 16 texels of a @p fmt block. */
+void
+decodeDxtBlock(TexFormat fmt, const u8* block, Vec4 out[16])
+{
+    DxtPalette palette;
+    palette.decode(fmt, block);
+    for (u32 i = 0; i < 16; ++i)
+        out[i] = palette.texel(i);
+}
+
 } // anonymous namespace
+
+void
+DxtPalette::decode(TexFormat fmt, const u8* block)
+{
+    format = fmt;
+    // DXT3/DXT5 keep the alpha part first and the colour part last.
+    const u8* color = fmt == TexFormat::DXT1 ? block : block + 8;
+    const u16 c0 = readU16(color);
+    const u16 c1 = readU16(color + 2);
+    colorBits = readU32(color + 4);
+    colors[0] = unpack565(c0);
+    colors[1] = unpack565(c1);
+    // DXT3/DXT5 colour is always 4-colour mode.
+    if (fmt != TexFormat::DXT1 || c0 > c1) {
+        colors[2] = colors[0] * (2.0f / 3.0f) +
+                    colors[1] * (1.0f / 3.0f);
+        colors[3] = colors[0] * (1.0f / 3.0f) +
+                    colors[1] * (2.0f / 3.0f);
+        colors[2].w = colors[3].w = 1.0f;
+    } else {
+        colors[2] = (colors[0] + colors[1]) * 0.5f;
+        colors[2].w = 1.0f;
+        colors[3] = {0.0f, 0.0f, 0.0f, 0.0f};
+    }
+
+    if (fmt == TexFormat::DXT3) {
+        alphaBits = readU64(block); // Explicit 4-bit alphas.
+    } else if (fmt == TexFormat::DXT5) {
+        const f32 a0 = static_cast<f32>(block[0]) / 255.0f;
+        const f32 a1 = static_cast<f32>(block[1]) / 255.0f;
+        alpha[0] = a0;
+        alpha[1] = a1;
+        if (block[0] > block[1]) {
+            for (u32 i = 1; i < 7; ++i) {
+                alpha[1 + i] =
+                    (a0 * static_cast<f32>(7 - i) +
+                     a1 * static_cast<f32>(i)) / 7.0f;
+            }
+        } else {
+            for (u32 i = 1; i < 5; ++i) {
+                alpha[1 + i] =
+                    (a0 * static_cast<f32>(5 - i) +
+                     a1 * static_cast<f32>(i)) / 5.0f;
+            }
+            alpha[6] = 0.0f;
+            alpha[7] = 1.0f;
+        }
+        // 48 bits of 3-bit indices.
+        alphaBits = readU64(block) >> 16;
+    }
+}
+
+void
+TexBlockCache::fill(u32 e, TexFormat fmt, u32 blockAddr,
+                    const MemoryReader& mem)
+{
+    u8 block[16];
+    mem.read(blockAddr, texFormatUnitBytes(fmt), block);
+    palette[e].decode(fmt, block);
+    address[e] = blockAddr;
+}
 
 void
 decodeDxt1Block(const u8* block, Vec4 out[16])
 {
-    const u16 c0 = readU16(block);
-    const u16 c1 = readU16(block + 2);
-    const u32 bits = readU32(block + 4);
-    Vec4 palette[4];
-    palette[0] = unpack565(c0);
-    palette[1] = unpack565(c1);
-    if (c0 > c1) {
-        palette[2] = palette[0] * (2.0f / 3.0f) +
-                     palette[1] * (1.0f / 3.0f);
-        palette[3] = palette[0] * (1.0f / 3.0f) +
-                     palette[1] * (2.0f / 3.0f);
-        palette[2].w = palette[3].w = 1.0f;
-    } else {
-        palette[2] = (palette[0] + palette[1]) * 0.5f;
-        palette[2].w = 1.0f;
-        palette[3] = {0.0f, 0.0f, 0.0f, 0.0f};
-    }
-    for (u32 i = 0; i < 16; ++i)
-        out[i] = palette[(bits >> (2 * i)) & 0x3];
+    decodeDxtBlock(TexFormat::DXT1, block, out);
 }
 
 void
 decodeDxt3Block(const u8* block, Vec4 out[16])
 {
-    // Color part: always 4-color mode.
-    const u16 c0 = readU16(block + 8);
-    const u16 c1 = readU16(block + 10);
-    const u32 bits = readU32(block + 12);
-    Vec4 palette[4];
-    palette[0] = unpack565(c0);
-    palette[1] = unpack565(c1);
-    palette[2] =
-        palette[0] * (2.0f / 3.0f) + palette[1] * (1.0f / 3.0f);
-    palette[3] =
-        palette[0] * (1.0f / 3.0f) + palette[1] * (2.0f / 3.0f);
-    for (u32 i = 0; i < 16; ++i) {
-        out[i] = palette[(bits >> (2 * i)) & 0x3];
-        // Explicit 4-bit alpha.
-        const u32 nibble = (block[i / 2] >> ((i % 2) * 4)) & 0xf;
-        out[i].w = static_cast<f32>(nibble) / 15.0f;
-    }
+    decodeDxtBlock(TexFormat::DXT3, block, out);
 }
 
 void
 decodeDxt5Block(const u8* block, Vec4 out[16])
 {
-    const f32 a0 = static_cast<f32>(block[0]) / 255.0f;
-    const f32 a1 = static_cast<f32>(block[1]) / 255.0f;
-    f32 alpha[8];
-    alpha[0] = a0;
-    alpha[1] = a1;
-    if (block[0] > block[1]) {
-        for (u32 i = 1; i < 7; ++i) {
-            alpha[1 + i] =
-                (a0 * static_cast<f32>(7 - i) +
-                 a1 * static_cast<f32>(i)) / 7.0f;
-        }
-    } else {
-        for (u32 i = 1; i < 5; ++i) {
-            alpha[1 + i] =
-                (a0 * static_cast<f32>(5 - i) +
-                 a1 * static_cast<f32>(i)) / 5.0f;
-        }
-        alpha[6] = 0.0f;
-        alpha[7] = 1.0f;
-    }
-    // 48 bits of 3-bit indices.
-    u64 abits = 0;
-    for (u32 i = 0; i < 6; ++i)
-        abits |= static_cast<u64>(block[2 + i]) << (8 * i);
-
-    const u16 c0 = readU16(block + 8);
-    const u16 c1 = readU16(block + 10);
-    const u32 bits = readU32(block + 12);
-    Vec4 palette[4];
-    palette[0] = unpack565(c0);
-    palette[1] = unpack565(c1);
-    palette[2] =
-        palette[0] * (2.0f / 3.0f) + palette[1] * (1.0f / 3.0f);
-    palette[3] =
-        palette[0] * (1.0f / 3.0f) + palette[1] * (2.0f / 3.0f);
-    for (u32 i = 0; i < 16; ++i) {
-        out[i] = palette[(bits >> (2 * i)) & 0x3];
-        out[i].w = alpha[(abits >> (3 * i)) & 0x7];
-    }
+    decodeDxtBlock(TexFormat::DXT5, block, out);
 }
 
 u32
@@ -166,46 +228,10 @@ u32
 TextureEmulator::texelAddress(const TextureDescriptor& desc, u8 face,
                               u8 level, u32 x, u32 y, u32* bytes)
 {
-    const MipLevel& mip = desc.mips[face][level];
-    const u32 unit = texFormatUnitBytes(desc.format);
-    if (texFormatCompressed(desc.format)) {
-        const u32 bpr = (mip.width + 3) / 4;
-        if (bytes)
-            *bytes = unit;
-        return mip.address + ((y / 4) * bpr + (x / 4)) * unit;
-    }
-    const u32 tpr = (mip.width + tileDim - 1) / tileDim;
-    const u32 tileBytes = tileDim * tileDim * unit;
+    const LevelLayout layout(desc, face, level);
     if (bytes)
-        *bytes = unit;
-    return mip.address +
-           ((y / tileDim) * tpr + (x / tileDim)) * tileBytes +
-           ((y % tileDim) * tileDim + (x % tileDim)) * unit;
-}
-
-s32
-TextureEmulator::wrap(WrapMode mode, s32 coord, s32 size)
-{
-    if (size <= 0)
-        return 0;
-    switch (mode) {
-      case WrapMode::Repeat: {
-        s32 m = coord % size;
-        if (m < 0)
-            m += size;
-        return m;
-      }
-      case WrapMode::Clamp:
-        return std::clamp(coord, 0, size - 1);
-      case WrapMode::Mirror: {
-        const s32 period = 2 * size;
-        s32 m = coord % period;
-        if (m < 0)
-            m += period;
-        return m < size ? m : period - 1 - m;
-      }
-    }
-    return 0;
+        *bytes = layout.unit;
+    return layout.address(x, y);
 }
 
 Vec4
@@ -222,41 +248,15 @@ TextureEmulator::fetchTexel(const TextureDescriptor& desc, u8 face,
     u32 unitBytes = 0;
     const u32 addr =
         texelAddress(desc, face, level, xi, yi, &unitBytes);
+    if (!texFormatCompressed(desc.format))
+        return readTexel(desc.format, addr, mem);
 
-    switch (desc.format) {
-      case TexFormat::RGBA8: {
-        u8 px[4];
-        mem.read(addr, 4, px);
-        return {px[0] / 255.0f, px[1] / 255.0f, px[2] / 255.0f,
-                px[3] / 255.0f};
-      }
-      case TexFormat::LUM8: {
-        u8 l;
-        mem.read(addr, 1, &l);
-        const f32 v = l / 255.0f;
-        return {v, v, v, 1.0f};
-      }
-      case TexFormat::ALPHA8: {
-        u8 a;
-        mem.read(addr, 1, &a);
-        return {0.0f, 0.0f, 0.0f, a / 255.0f};
-      }
-      case TexFormat::DXT1:
-      case TexFormat::DXT3:
-      case TexFormat::DXT5: {
-        u8 block[16];
-        mem.read(addr, unitBytes, block);
-        Vec4 texels[16];
-        if (desc.format == TexFormat::DXT1)
-            decodeDxt1Block(block, texels);
-        else if (desc.format == TexFormat::DXT3)
-            decodeDxt3Block(block, texels);
-        else
-            decodeDxt5Block(block, texels);
-        return texels[(yi % 4) * 4 + (xi % 4)];
-      }
-    }
-    return Vec4();
+    // The reference path: decode the whole block.
+    u8 block[16];
+    mem.read(addr, unitBytes, block);
+    Vec4 texels[16];
+    decodeDxtBlock(desc.format, block, texels);
+    return texels[(yi % 4) * 4 + (xi % 4)];
 }
 
 void
@@ -326,6 +326,8 @@ appendLevelSample(const TextureDescriptor& desc, u32 face, f32 s,
     const WrapMode wt = desc.target == TexTarget::Cube
                             ? WrapMode::Clamp : desc.wrapT;
 
+    const LevelLayout layout(desc, face, level);
+
     auto push = [&](s32 x, s32 y, f32 wgt) {
         if (wgt <= 0.0f)
             return;
@@ -336,10 +338,8 @@ appendLevelSample(const TextureDescriptor& desc, u32 face, f32 s,
             TextureEmulator::wrap(ws, x, w));
         ref.y = static_cast<u16>(
             TextureEmulator::wrap(wt, y, h));
-        u32 bytes = 0;
-        ref.address = TextureEmulator::texelAddress(
-            desc, ref.face, level, ref.x, ref.y, &bytes);
-        ref.bytes = bytes;
+        ref.address = layout.address(ref.x, ref.y);
+        ref.bytes = layout.unit;
         ref.weight = wgt;
         plan.texels.push_back(ref);
     };
@@ -430,38 +430,16 @@ selectLevels(const TextureDescriptor& desc, f32 lod)
     return sel;
 }
 
-/** fetchTexel with DXT block-decode memoization (same texels). */
+/** Fetch texel (@p x, @p y) of a level, already wrapped, whose
+ * address (for DXT: its block's address) is @p addr. */
 Vec4
-fetchTexelCached(const TextureDescriptor& desc, u8 face, u8 level,
-                 s32 x, s32 y, const MemoryReader& mem,
-                 TexBlockCache* cache)
+fetchWrapped(const TextureDescriptor& desc, u32 addr, u32 x, u32 y,
+             const MemoryReader& mem, TexBlockCache& cache)
 {
-    if (!cache || !texFormatCompressed(desc.format)) {
-        return TextureEmulator::fetchTexel(desc, face, level, x, y,
-                                           mem);
-    }
-    const MipLevel& mip = desc.mips[face][level];
-    const s32 w = static_cast<s32>(mip.width);
-    const s32 h = static_cast<s32>(mip.height);
-    const u32 xi = static_cast<u32>(
-        TextureEmulator::wrap(desc.wrapS, x, w));
-    const u32 yi = static_cast<u32>(
-        TextureEmulator::wrap(desc.wrapT, y, h));
-    u32 unitBytes = 0;
-    const u32 addr = TextureEmulator::texelAddress(
-        desc, face, level, xi, yi, &unitBytes);
-    if (cache->address != addr) {
-        u8 block[16];
-        mem.read(addr, unitBytes, block);
-        if (desc.format == TexFormat::DXT1)
-            decodeDxt1Block(block, cache->texels);
-        else if (desc.format == TexFormat::DXT3)
-            decodeDxt3Block(block, cache->texels);
-        else
-            decodeDxt5Block(block, cache->texels);
-        cache->address = addr;
-    }
-    return cache->texels[(yi % 4) * 4 + (xi % 4)];
+    if (!texFormatCompressed(desc.format))
+        return readTexel(desc.format, addr, mem);
+    return cache.block(desc.format, addr, mem)
+        .texel((y % 4) * 4 + (x % 4));
 }
 
 /**
@@ -485,15 +463,23 @@ accumulateLevelSample(const TextureDescriptor& desc, u32 face, f32 s,
     const WrapMode wt = desc.target == TexTarget::Cube
                             ? WrapMode::Clamp : desc.wrapT;
 
+    const LevelLayout layout(desc, face, level);
+
     auto fetchAdd = [&](s32 x, s32 y, f32 wgt) {
         if (wgt <= 0.0f)
             return;
         const s32 xi = TextureEmulator::wrap(ws, x, w);
         const s32 yi = TextureEmulator::wrap(wt, y, h);
-        const Vec4 texel =
-            fetchTexelCached(desc, static_cast<u8>(face), level, xi,
-                             yi, mem, cache);
-        acc = acc + texel * wgt;
+        if (!cache) {
+            acc = acc + TextureEmulator::fetchTexel(
+                            desc, static_cast<u8>(face), level, xi,
+                            yi, mem) * wgt;
+            return;
+        }
+        const u32 x32 = static_cast<u32>(xi);
+        const u32 y32 = static_cast<u32>(yi);
+        acc = acc + fetchWrapped(desc, layout.address(x32, y32), x32,
+                                 y32, mem, *cache) * wgt;
     };
 
     if (!linear) {
@@ -576,6 +562,16 @@ TextureEmulator::planSample(const TextureDescriptor& desc,
                             const Vec4& majorAxis)
 {
     SamplePlan plan;
+    planSampleInto(desc, coord, lod, aniso, majorAxis, plan);
+    return plan;
+}
+
+void
+TextureEmulator::planSampleInto(const TextureDescriptor& desc,
+                                const Vec4& coord, f32 lod, u32 aniso,
+                                const Vec4& majorAxis, SamplePlan& plan)
+{
+    plan.texels.clear();
     plan.bilinearOps = 0;
 
     u32 face;
@@ -607,7 +603,6 @@ TextureEmulator::planSample(const TextureDescriptor& desc,
     // loop above already counted (one per level).
     if (plan.bilinearOps == 0)
         plan.bilinearOps = 1;
-    return plan;
 }
 
 Vec4
@@ -617,11 +612,16 @@ TextureEmulator::executePlan(const TextureDescriptor& desc,
                              TexBlockCache* cache)
 {
     Vec4 acc;
+    if (!cache) {
+        for (const TexelRef& ref : plan.texels) {
+            acc = acc + fetchTexel(desc, ref.face, ref.level, ref.x,
+                                   ref.y, mem) * ref.weight;
+        }
+        return acc;
+    }
     for (const TexelRef& ref : plan.texels) {
-        const Vec4 texel =
-            fetchTexelCached(desc, ref.face, ref.level, ref.x, ref.y,
-                             mem, cache);
-        acc = acc + texel * ref.weight;
+        acc = acc + fetchWrapped(desc, ref.address, ref.x, ref.y, mem,
+                                 *cache) * ref.weight;
     }
     return acc;
 }

@@ -14,6 +14,7 @@
 #ifndef ATTILA_EMU_TEXTURE_EMULATOR_HH
 #define ATTILA_EMU_TEXTURE_EMULATOR_HH
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -118,17 +119,79 @@ struct SamplePlan
 };
 
 /**
- * One decoded compressed block, memoized across the texel fetches of
- * a sample or quad (bilinear corners land in the same 4x4 DXT block
- * most of the time, and the per-texel decode dominates the fetch).
- * Pure memoization: fetch results are bit-identical with or without
- * a cache.
+ * One DXT block decoded to its palettes: the four colours with their
+ * 2-bit indices and, for DXT3/DXT5, the alpha bits (explicit 4-bit
+ * alphas, or 3-bit indices into an 8-entry alpha table).  texel()
+ * expands one of the 16 texels with a table lookup.  The
+ * decodeDxt*Block() functions and TexBlockCache both decode through
+ * decode(), so the palette arithmetic has exactly one definition.
+ */
+struct DxtPalette
+{
+    Vec4 colors[4];
+    f32 alpha[8];      ///< DXT5 alpha table.
+    u64 alphaBits = 0; ///< DXT3: 4-bit alphas; DXT5: 3-bit indices.
+    u32 colorBits = 0; ///< 2-bit colour indices, texel 0 lowest.
+    TexFormat format = TexFormat::DXT1;
+
+    /** Decode the palettes of the @p fmt block at @p block. */
+    void decode(TexFormat fmt, const u8* block);
+
+    /** Texel @p i (row-major within the 4x4 block). */
+    Vec4
+    texel(u32 i) const
+    {
+        Vec4 c = colors[(colorBits >> (2 * i)) & 0x3];
+        if (format == TexFormat::DXT3) {
+            c.w = static_cast<f32>((alphaBits >> (4 * i)) & 0xf) /
+                  15.0f;
+        } else if (format == TexFormat::DXT5) {
+            c.w = alpha[(alphaBits >> (3 * i)) & 0x7];
+        }
+        return c;
+    }
+};
+
+/**
+ * Decoded DXT palettes memoized across the texel fetches of a sample
+ * or quad: a 4-entry direct-mapped cache tagged by block address.
+ * Bilinear corners land in the same 4x4 block most of the time, and
+ * trilinear and anisotropic footprints revisit a few blocks of two
+ * levels, so most fetches are a table lookup.  Pure memoization:
+ * fetch results are bit-identical with or without a cache.  The
+ * memory it reads must not change while the cache is in use.
  */
 struct TexBlockCache
 {
+    static constexpr u32 entries = 4;
     static constexpr u32 invalidAddress = ~0u;
-    u32 address = invalidAddress;
-    Vec4 texels[16];
+    u32 address[entries] = {invalidAddress, invalidAddress,
+                            invalidAddress, invalidAddress};
+    DxtPalette palette[entries];
+
+    /** Entry a block address maps to: consecutive blocks (8 bytes
+     * for DXT1, 16 for DXT3/DXT5) take consecutive entries. */
+    static u32
+    index(TexFormat fmt, u32 blockAddr)
+    {
+        return (blockAddr >> (fmt == TexFormat::DXT1 ? 3 : 4)) %
+               entries;
+    }
+
+    /** The palettes of the @p fmt block at @p blockAddr, read from
+     * @p mem and decoded on a miss. */
+    const DxtPalette&
+    block(TexFormat fmt, u32 blockAddr, const MemoryReader& mem)
+    {
+        const u32 e = index(fmt, blockAddr);
+        if (address[e] != blockAddr)
+            fill(e, fmt, blockAddr, mem);
+        return palette[e];
+    }
+
+  private:
+    void fill(u32 e, TexFormat fmt, u32 blockAddr,
+              const MemoryReader& mem);
 };
 
 /**
@@ -164,9 +227,17 @@ class TextureEmulator
                                  u32 aniso = 1,
                                  const Vec4& majorAxis = Vec4());
 
-    /** Fetch and blend the texels of @p plan.  @p cache, when given,
-     * memoizes the last decoded DXT block (same texels, fewer
-     * decodes — share one across a quad's four plans). */
+    /** planSample() into @p plan, which is cleared first; its texel
+     * storage is reused, so a warm plan plans without allocating. */
+    static void planSampleInto(const TextureDescriptor& desc,
+                               const Vec4& coord, f32 lod, u32 aniso,
+                               const Vec4& majorAxis, SamplePlan& plan);
+
+    /** Fetch and blend the texels of @p plan.  With @p cache each
+     * texel is fetched at the plan's address and wrapped x/y, and DXT
+     * palettes are memoized (same texels, fewer decodes — share one
+     * cache across a quad's four plans).  Without it every texel goes
+     * through fetchTexel(), the reference path. */
     static Vec4 executePlan(const TextureDescriptor& desc,
                             const SamplePlan& plan,
                             const MemoryReader& mem,
@@ -240,8 +311,38 @@ class TextureEmulator
      */
     static void cubeFace(const Vec4& dir, u32& face, f32& s, f32& t);
 
-    /** Apply a wrap mode to a texel index. */
-    static s32 wrap(WrapMode mode, s32 coord, s32 size);
+    /** Apply a wrap mode to a texel index.  Inline: planning calls it
+     * twice per texel. */
+    static s32
+    wrap(WrapMode mode, s32 coord, s32 size)
+    {
+        if (size <= 0)
+            return 0;
+        // Power-of-two sizes (the common case) wrap with a mask
+        // instead of a division; the mask is the non-negative
+        // remainder.
+        const bool pow2 = (size & (size - 1)) == 0;
+        switch (mode) {
+          case WrapMode::Repeat: {
+            if (pow2)
+                return coord & (size - 1);
+            s32 m = coord % size;
+            if (m < 0)
+                m += size;
+            return m;
+          }
+          case WrapMode::Clamp:
+            return std::clamp(coord, 0, size - 1);
+          case WrapMode::Mirror: {
+            const s32 period = 2 * size;
+            s32 m = pow2 ? coord & (period - 1) : coord % period;
+            if (m < 0)
+                m += period;
+            return m < size ? m : period - 1 - m;
+          }
+        }
+        return 0;
+    }
 
     /**
      * Store a CPU-side image (tightly packed rows, RGBA8 or raw DXT

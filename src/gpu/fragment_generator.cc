@@ -82,7 +82,7 @@ FragmentGenerator::startTriangle(Cycle cycle)
     if (head->isMarker()) {
         if (!_out.canSend(cycle))
             return false;
-        _out.send(cycle, _in.pop(cycle));
+        _out.send(cycle, rewrapMarker<TileObj>(*_in.pop(cycle)));
         return true;
     }
     _current = _in.pop(cycle);

@@ -173,7 +173,8 @@ HierarchicalZ::processTiles(Cycle cycle)
                 if (!out->canSend(cycle))
                     return progress;
             }
-            auto marker = _in.pop(cycle);
+            const QuadObjPtr marker =
+                rewrapMarker<QuadObj>(*_in.pop(cycle));
             for (auto& out : _toRopz)
                 out->send(cycle, marker);
             progress = true;

@@ -1,11 +1,43 @@
 #include "gpu/texture_unit.hh"
 
 #include <algorithm>
+#include <bit>
 
 namespace attila::gpu
 {
 
 using emu::TextureEmulator;
+
+void
+collectTexelLines(const std::array<emu::SamplePlan, 4>& plans,
+                  u32 lineBytes, std::vector<u32>& lines)
+{
+    // Neighbouring texels mostly share a block or a line, so skipping
+    // a repeat of the last texel address and of the last line pushed
+    // leaves only a handful of lines to sort.
+    lines.clear();
+    const bool pow2 = std::has_single_bit(lineBytes);
+    for (const emu::SamplePlan& plan : plans) {
+        const emu::TexelRef* prev = nullptr;
+        for (const emu::TexelRef& ref : plan.texels) {
+            if (prev && prev->address == ref.address)
+                continue;
+            prev = &ref;
+            const u32 offset = pow2 ? ref.address & (lineBytes - 1)
+                                    : ref.address % lineBytes;
+            const u32 first = ref.address - offset;
+            if (lines.empty() || lines.back() != first)
+                lines.push_back(first);
+            // Texels may straddle a line boundary (DXT blocks).
+            if (offset + ref.bytes > lineBytes) {
+                const u32 end = ref.address + ref.bytes - 1;
+                lines.push_back(end - end % lineBytes);
+            }
+        }
+    }
+    std::sort(lines.begin(), lines.end());
+    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+}
 
 TextureUnit::TextureUnit(sim::SignalBinder& binder,
                          sim::StatisticManager& stats,
@@ -91,53 +123,13 @@ TextureUnit::planRequest(Active& active)
                                    lod, majorAxis);
 
     active.bilinearOps = 0;
-    if (_config.memFastPath) {
-        // Collect into reused scratch, then sort + deduplicate:
-        // the same ascending unique order a std::set yields,
-        // without its per-node allocations.
-        _lineScratch.clear();
-        for (u32 l = 0; l < 4; ++l) {
-            active.plans[l] = TextureEmulator::planSample(
-                desc, coords[l], lod, aniso, majorAxis);
-            active.bilinearOps += active.plans[l].bilinearOps;
-            for (const emu::TexelRef& ref :
-                 active.plans[l].texels) {
-                _lineScratch.push_back(
-                    ref.address -
-                    ref.address % _config.textureCacheLine);
-                // Texels may straddle a line boundary (DXT
-                // blocks).
-                const u32 end = ref.address + ref.bytes - 1;
-                _lineScratch.push_back(
-                    end - end % _config.textureCacheLine);
-            }
-        }
-        std::sort(_lineScratch.begin(), _lineScratch.end());
-        _lineScratch.erase(std::unique(_lineScratch.begin(),
-                                       _lineScratch.end()),
-                           _lineScratch.end());
-        active.lineAddrs.assign(_lineScratch.begin(),
-                                _lineScratch.end());
-        return;
-    }
-
-    std::set<u32> lines;
     for (u32 l = 0; l < 4; ++l) {
-        active.plans[l] =
-            TextureEmulator::planSample(desc, coords[l], lod, aniso,
-                                        majorAxis);
+        TextureEmulator::planSampleInto(desc, coords[l], lod, aniso,
+                                        majorAxis, active.plans[l]);
         active.bilinearOps += active.plans[l].bilinearOps;
-        for (const emu::TexelRef& ref : active.plans[l].texels) {
-            const u32 line =
-                ref.address -
-                ref.address % _config.textureCacheLine;
-            lines.insert(line);
-            // Texels may straddle a line boundary (DXT blocks).
-            const u32 end = ref.address + ref.bytes - 1;
-            lines.insert(end - end % _config.textureCacheLine);
-        }
     }
-    active.lineAddrs.assign(lines.begin(), lines.end());
+    collectTexelLines(active.plans, _config.textureCacheLine,
+                      active.lineAddrs);
 }
 
 bool

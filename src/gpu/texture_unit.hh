@@ -12,8 +12,6 @@
 #ifndef ATTILA_GPU_TEXTURE_UNIT_HH
 #define ATTILA_GPU_TEXTURE_UNIT_HH
 
-#include <set>
-
 #include "emu/texture_emulator.hh"
 #include "gpu/cache.hh"
 #include "gpu/gpu_config.hh"
@@ -23,6 +21,14 @@
 
 namespace attila::gpu
 {
+
+/**
+ * The distinct cache lines of @p lineBytes that the texels of
+ * @p plans touch, in ascending order, into @p lines (cleared first).
+ * A texel (a DXT block) straddling a line boundary counts both lines.
+ */
+void collectTexelLines(const std::array<emu::SamplePlan, 4>& plans,
+                       u32 lineBytes, std::vector<u32>& lines);
 
 /** The Texture Unit box. */
 class TextureUnit : public sim::Box
@@ -79,9 +85,6 @@ class TextureUnit : public sim::Box
     bool _activeLive = false;
     sim::RingQueue<TexRequestPtr> _done; ///< Awaiting resp credit.
     u32 _rrNext = 0;
-    /** Reused line-collection scratch (sorted + deduplicated, same
-     * order a std::set yields). */
-    std::vector<u32> _lineScratch;
 
     sim::BatchedStat _statRequests;
     sim::BatchedStat _statBilinearOps;

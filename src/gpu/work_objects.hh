@@ -44,6 +44,24 @@ class WorkObject : public sim::DynamicObject
 
 using WorkObjectPtr = std::shared_ptr<WorkObject>;
 
+/**
+ * Re-wrap marker @p from as the object type @p T of the downstream
+ * link (a typed link carries objects of one type only): same batch,
+ * state, marker kind and info, with @p from appended to the trail.
+ */
+template <typename T>
+std::shared_ptr<T>
+rewrapMarker(const WorkObject& from)
+{
+    auto marker = std::make_shared<T>();
+    marker->batchId = from.batchId;
+    marker->state = from.state;
+    marker->marker = from.marker;
+    marker->setInfo(from.info());
+    marker->copyTrailFrom(from);
+    return marker;
+}
+
 /** A vertex flowing from the Streamer to Primitive Assembly. */
 class VertexObj : public WorkObject
 {
