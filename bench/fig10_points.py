@@ -8,7 +8,9 @@ the best wall time, and box_clocks (update() calls summed over every
 box).  box_clocks is read from each build's event trace (the activity
 spans cover exactly the clocked cycles), so revisions that predate the
 BENCH_JSON box_clocks field are measured the same way; where the field
-exists it must agree with the trace.
+exists it must agree with the trace.  Per build it records peak_rss_mb,
+the lowest peak resident set (ru_maxrss from wait4) over its runs; one
+run renders every scene.
 
 Usage (each build directory configured with CMake and built with the
 bench_fig10_image_verify target):
@@ -43,17 +45,26 @@ def git_sha(source_dir):
 
 
 def run_bench(binary, workdir, *flags):
-    out = subprocess.run([binary, *flags], capture_output=True,
-                         text=True, cwd=workdir, check=True).stdout
-    return [json.loads(line[len("BENCH_JSON "):])
-            for line in out.splitlines()
-            if line.startswith("BENCH_JSON ")]
+    """One run's BENCH_JSON lines and its peak RSS in MB."""
+    proc = subprocess.Popen([binary, *flags], stdout=subprocess.PIPE,
+                            cwd=workdir)
+    out = proc.stdout.read().decode()
+    proc.stdout.close()
+    # Reap with wait4() for the child's own rusage; tell Popen it ended.
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise subprocess.CalledProcessError(proc.returncode, binary)
+    lines = [json.loads(line[len("BENCH_JSON "):])
+             for line in out.splitlines()
+             if line.startswith("BENCH_JSON ")]
+    return lines, usage.ru_maxrss / 1024.0  # ru_maxrss is KiB
 
 
 def traced_box_clocks(binary, workdir):
     """Sum of each scene's <box>.activeCycles trace counters."""
     clocks = {}
-    for line in run_bench(binary, workdir, "--event-trace"):
+    for line in run_bench(binary, workdir, "--event-trace")[0]:
         if not line["label"].endswith("/event_trace"):
             continue
         assert line["match"] and line["dropped"] == 0, line
@@ -78,12 +89,15 @@ def main():
               "change": os.path.abspath(args.change)}
     walls = {name: {} for name in builds}
     lines = {name: {} for name in builds}
+    rss = {name: [] for name in builds}
     with tempfile.TemporaryDirectory() as workdir:
         for _ in range(args.runs):
             for name, build in builds.items():
                 binary = os.path.join(build, "bench",
                                       "bench_fig10_image_verify")
-                for line in run_bench(binary, workdir):
+                run_lines, peak_rss_mb = run_bench(binary, workdir)
+                rss[name].append(peak_rss_mb)
+                for line in run_lines:
                     walls[name].setdefault(line["label"], []).append(
                         line["wall_s"])
                     lines[name][line["label"]] = line
@@ -115,6 +129,7 @@ def main():
                 "build_type": cmake_cache(build, "CMAKE_BUILD_TYPE"),
                 "nproc": os.cpu_count(),
                 "runs": args.runs,
+                "peak_rss_mb": round(min(rss[name]), 1),
                 "scenes": scenes,
             })
 
@@ -125,6 +140,8 @@ def main():
               f"{before['khz']:7.1f} -> {after['khz']:7.1f}  box clocks "
               f"{before['box_clocks_per_cycle']:.2f} -> "
               f"{after['box_clocks_per_cycle']:.2f} per cycle")
+    print(f"peak RSS {points[0]['peak_rss_mb']:.1f} -> "
+          f"{points[1]['peak_rss_mb']:.1f} MB")
     with open(args.out, "w") as f:
         json.dump({"bench": "fig10_image_verify",
                    "generator": "bench/fig10_points.py",

@@ -13,8 +13,9 @@
 #ifndef ATTILA_EMU_MEMORY_HH
 #define ATTILA_EMU_MEMORY_HH
 
+#include <cstdlib>
 #include <cstring>
-#include <vector>
+#include <memory>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -42,20 +43,32 @@ class MemoryReader
     }
 };
 
-/** Flat memory image: the GPU local memory. */
+/**
+ * Flat memory image: the GPU local memory.
+ *
+ * The image is zero until written and is allocated with calloc, so
+ * it costs host memory only for the pages a run touches: large
+ * requests are served from fresh anonymous pages that the kernel
+ * maps, already zero, on first access.
+ */
 class GpuMemory : public MemoryReader
 {
   public:
     /** @param size Memory size in bytes. */
-    explicit GpuMemory(u32 size) : _data(size, 0) {}
+    explicit GpuMemory(u32 size)
+        : _data(static_cast<u8*>(std::calloc(size, 1))), _size(size)
+    {
+        if (!_data && size != 0)
+            fatal("cannot allocate ", size, " bytes of GPU memory");
+    }
 
-    u32 size() const { return static_cast<u32>(_data.size()); }
+    u32 size() const { return _size; }
 
     void
     read(u32 addr, u32 size, u8* out) const override
     {
         checkRange(addr, size);
-        std::memcpy(out, _data.data() + addr, size);
+        std::memcpy(out, _data.get() + addr, size);
     }
 
     /** Write @p size bytes from @p src at @p addr. */
@@ -63,7 +76,7 @@ class GpuMemory : public MemoryReader
     write(u32 addr, u32 size, const u8* src)
     {
         checkRange(addr, size);
-        std::memcpy(_data.data() + addr, src, size);
+        std::memcpy(_data.get() + addr, src, size);
     }
 
     template <typename T>
@@ -74,20 +87,26 @@ class GpuMemory : public MemoryReader
     }
 
     /** Raw pointer access for bulk operations (e.g. the DAC dump). */
-    const u8* data() const { return _data.data(); }
-    u8* data() { return _data.data(); }
+    const u8* data() const { return _data.get(); }
+    u8* data() { return _data.get(); }
 
   private:
     void
     checkRange(u32 addr, u32 size) const
     {
-        if (addr + static_cast<u64>(size) > _data.size()) {
+        if (addr + static_cast<u64>(size) > _size) {
             panic("GPU memory access out of range: addr ", addr,
-                  " size ", size, " memory ", _data.size());
+                  " size ", size, " memory ", _size);
         }
     }
 
-    std::vector<u8> _data;
+    struct FreeDeleter
+    {
+        void operator()(u8* p) const { std::free(p); }
+    };
+
+    std::unique_ptr<u8, FreeDeleter> _data;
+    u32 _size;
 };
 
 } // namespace attila::emu

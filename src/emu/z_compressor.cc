@@ -95,8 +95,8 @@ tryCompress(const std::array<u32, zTileWords>& tile, u32 residualBits,
         }
     }
 
-    out.clear();
-    out.resize(headerBytes, 0);
+    // Zero-padded to the budget; putBits grows it only on overflow.
+    out.assign(budgetBytes, 0);
     out[0] = stencil;
     putU32(out, 1, static_cast<u32>(d00));
     putU32(out, 5, static_cast<u32>(static_cast<s32>(dx)));
@@ -108,10 +108,7 @@ tryCompress(const std::array<u32, zTileWords>& tile, u32 residualBits,
                     ((1u << residualBits) - 1),
                 residualBits);
     }
-    if (out.size() > budgetBytes)
-        return false;
-    out.resize(budgetBytes, 0);
-    return true;
+    return out.size() == budgetBytes;
 }
 
 } // anonymous namespace

@@ -130,7 +130,7 @@ class LinkRx
                       "': queue overflow (capacity ", _capacity,
                       ")");
             }
-            _queue.push_back(std::static_pointer_cast<T>(obj));
+            _queue.push_back(std::static_pointer_cast<T>(std::move(obj)));
         }
         return _queue.size() != before;
     }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -138,7 +139,9 @@ makeRandomProgram(Lcg& rng)
 
         Instruction ins;
         ins.op = op;
-        for (u32 s = 0; s < info.numSrc; ++s)
+        const std::size_t numSrc =
+            std::min<std::size_t>(info.numSrc, ins.src.size());
+        for (std::size_t s = 0; s < numSrc; ++s)
             ins.src[s] = randomSrc(rng);
         if (info.hasDst) {
             ins.dst = randomDst(rng);

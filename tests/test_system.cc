@@ -9,10 +9,12 @@
 #include <fstream>
 #include <gtest/gtest.h>
 #include <sstream>
+#include <unistd.h>
 
 #include "gl/context.hh"
 #include "gl/trace.hh"
 #include "gpu/gpu.hh"
+#include "gpu/ref_renderer.hh"
 #include "sim/signal_trace.hh"
 #include "workloads/cubes.hh"
 #include "workloads/shadows.hh"
@@ -173,6 +175,53 @@ TEST(System, GpuMemoryOutOfRangePanics)
     EXPECT_THROW(memory.read(1020, 16, buf), SimError);
     EXPECT_THROW(memory.write(2048, 4, buf), SimError);
     EXPECT_NO_THROW(memory.read(1008, 16, buf));
+}
+
+TEST(System, GpuMemoryIsZeroUntilWritten)
+{
+    const u32 size = 64u << 20;
+    emu::GpuMemory memory(size);
+    EXPECT_EQ(memory.readAs<u32>(0), 0u);
+    EXPECT_EQ(memory.readAs<u32>(size / 2), 0u);
+    EXPECT_EQ(memory.readAs<u32>(size - 4), 0u);
+    memory.writeAs<u32>(size - 4, 0xdeadbeefu);
+    EXPECT_EQ(memory.readAs<u32>(size - 4), 0xdeadbeefu);
+}
+
+namespace
+{
+
+/** Resident set of this process in bytes, from /proc/self/statm. */
+u64
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    u64 total = 0, resident = 0;
+    statm >> total >> resident;
+    return resident * static_cast<u64>(sysconf(_SC_PAGESIZE));
+}
+
+} // anonymous namespace
+
+TEST(System, GpuMemoryFootprintIsWhatIsTouched)
+{
+#if !defined(__linux__)
+    GTEST_SKIP() << "reads /proc/self/statm";
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer shadow memory counts as resident";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+    GTEST_SKIP() << "sanitizer shadow memory counts as resident";
+#endif
+#endif
+    // Two 64 MB images (the GPU's and the reference renderer's) cost
+    // only the pages construction touches.
+    const u64 before = residentBytes();
+    gpu::Gpu gpu{gpu::GpuConfig{}};
+    gpu::RefRenderer ref;
+    const s64 grown = static_cast<s64>(residentBytes() - before);
+    EXPECT_LT(grown, s64(16) << 20) << "resident set grew " << grown;
 }
 
 TEST(System, CacheGeometryValidation)
