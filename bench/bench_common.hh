@@ -53,8 +53,6 @@ setBench(const std::string& name)
 struct BenchOptions
 {
     std::optional<bool> idleSkip;
-    std::optional<bool> emuFastPath;
-    std::optional<bool> memFastPath;
     std::optional<bool> eventTrace;
     std::optional<std::string> configFile; ///< --config <file>.
     std::vector<std::string> sets;         ///< --set key=value, in order.
@@ -79,9 +77,7 @@ parseArgs(int& argc, char** argv)
 {
     const auto bad = [](const std::string& arg) {
         std::cerr << "error: bad bench flag '" << arg << "'\n"
-                  << "usage: --idle-skip=0|1 "
-                     "--emu-fastpath=0|1 --mem-fastpath=0|1 "
-                     "--event-trace[=0|1] "
+                  << "usage: --idle-skip=0|1 --event-trace[=0|1] "
                      "--config <file> --set section.key=value\n";
         std::exit(2);
     };
@@ -111,22 +107,6 @@ parseArgs(int& argc, char** argv)
                 options().idleSkip = true;
             else if (v == "0" || v == "false" || v == "off")
                 options().idleSkip = false;
-            else
-                bad(arg);
-        } else if (arg.rfind("--emu-fastpath=", 0) == 0) {
-            const std::string v = arg.substr(15);
-            if (v == "1" || v == "true" || v == "on")
-                options().emuFastPath = true;
-            else if (v == "0" || v == "false" || v == "off")
-                options().emuFastPath = false;
-            else
-                bad(arg);
-        } else if (arg.rfind("--mem-fastpath=", 0) == 0) {
-            const std::string v = arg.substr(15);
-            if (v == "1" || v == "true" || v == "on")
-                options().memFastPath = true;
-            else if (v == "0" || v == "false" || v == "off")
-                options().memFastPath = false;
             else
                 bad(arg);
         } else if (arg == "--event-trace" ||
@@ -170,10 +150,6 @@ applyOptions(gpu::GpuConfig& config)
         config.applyEnvOverrides();
         if (options().idleSkip)
             config.idleSkip = *options().idleSkip;
-        if (options().emuFastPath)
-            config.emuFastPath = *options().emuFastPath;
-        if (options().memFastPath)
-            config.memFastPath = *options().memFastPath;
         if (options().eventTrace)
             config.eventTrace = *options().eventTrace;
         for (const std::string& assignment : options().sets)
@@ -304,10 +280,6 @@ emitJson(const std::string& label, const RunResult& result)
               << result.wallSeconds << ",\"khz\":"
               << std::setprecision(3) << result.simKHz()
               << ",\"idle_skip\":" << (c.idleSkip ? "true" : "false")
-              << ",\"emu_fastpath\":"
-              << (c.emuFastPath ? "true" : "false")
-              << ",\"mem_fastpath\":"
-              << (c.memFastPath ? "true" : "false")
               << ",\"event_trace\":"
               << (c.eventTrace ? "true" : "false")
               << ",\"mem_model\":\"" << gpu::enumName(c.memModel)

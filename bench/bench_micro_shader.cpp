@@ -1,12 +1,12 @@
 /**
  * @file
- * Micro benchmark for the shader-emulator hot path: the per-lane
- * interpreter (ShaderEmulator::run) against the pre-decoded scalar
- * interpreter (runDecoded) and the pre-decoded quad-lockstep
- * interpreter (runQuad), over ALU-, texture- and KIL-heavy fragment
+ * Micro benchmark for the shader-emulator hot path: the legacy
+ * per-lane interpreter (ShaderEmulator::run, the parity oracle)
+ * against the pre-decoded quad-lockstep interpreter (runQuad) that
+ * the model runs, over ALU-, texture- and KIL-heavy fragment
  * programs.
  *
- * Every mode must produce bit-identical output registers and kill
+ * Both modes must produce bit-identical output registers and kill
  * masks — the bench exits non-zero on any mismatch, so it doubles as
  * an identity check.  The BENCH_JSON lines include a
  * `fastpath_speedup` figure (scalar wall / quad wall) that CI
@@ -182,7 +182,7 @@ emitMicroJson(const std::string& label, const ModeResult& r,
               << std::defaultfloat;
 }
 
-/** Run one program through all three modes; returns the
+/** Run one program through both modes; returns the
  * scalar/quad speedup, exits on any checksum mismatch. */
 f64
 benchProgram(const std::string& name, const std::string& source)
@@ -233,26 +233,6 @@ benchProgram(const std::string& name, const std::string& source)
         return sum;
     });
 
-    const ModeResult decoded = timeMode([&] {
-        u32 sum = 0;
-        std::array<ShaderThreadState, 4> lanes;
-        for (auto& lane : lanes)
-            lane.reset();
-        for (u32 it = 0; it < iterations; ++it) {
-            for (const auto& quad : ws.quads) {
-                prime(lanes, quad);
-                std::array<bool, 4> killed{};
-                for (u32 l = 0; l < 4; ++l) {
-                    killed[l] = !emulator.runDecoded(
-                        decodedProg, constants, lanes[l],
-                        &immediate);
-                }
-                sum ^= checksum(lanes, killed);
-            }
-        }
-        return sum;
-    });
-
     const ModeResult quadMode = timeMode([&] {
         u32 sum = 0;
         std::array<ShaderThreadState, 4> lanes;
@@ -274,14 +254,11 @@ benchProgram(const std::string& name, const std::string& source)
     const u64 lanesRun =
         static_cast<u64>(iterations) * numQuads * 4;
     emitMicroJson(name + "_scalar", scalar, lanesRun);
-    emitMicroJson(name + "_decoded", decoded, lanesRun);
     emitMicroJson(name + "_quad", quadMode, lanesRun);
 
-    if (scalar.check != decoded.check ||
-        scalar.check != quadMode.check) {
+    if (scalar.check != quadMode.check) {
         std::cerr << "FAIL: " << name
                   << " checksums diverge (scalar=" << scalar.check
-                  << " decoded=" << decoded.check
                   << " quad=" << quadMode.check << ")\n";
         std::exit(1);
     }
@@ -297,7 +274,6 @@ benchProgram(const std::string& name, const std::string& source)
               << std::defaultfloat;
     std::cout << "  " << name << ": scalar " << std::fixed
               << std::setprecision(3) << scalar.wallSeconds
-              << " s, decoded " << decoded.wallSeconds
               << " s, quad " << quadMode.wallSeconds << " s ("
               << speedup << "x)\n"
               << std::defaultfloat;
@@ -391,14 +367,14 @@ main(int argc, char** argv)
 {
     parseArgs(argc, argv);
     setBench("micro_shader");
-    printHeader("Micro: shader emulator fast path (scalar vs"
-                " pre-decoded vs quad-lockstep)");
+    printHeader("Micro: shader emulator (per-lane oracle vs"
+                " quad-lockstep)");
 
     const f64 aluSpeedup = benchProgram("alu", aluProgram);
     benchProgram("tex", texProgram);
     benchProgram("kil", kilProgram);
 
-    std::cout << "\nall modes bit-identical; alu fast-path speedup "
+    std::cout << "\nboth modes bit-identical; alu quad speedup "
               << std::fixed << std::setprecision(2) << aluSpeedup
               << "x\n";
     return 0;

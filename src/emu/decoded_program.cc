@@ -1,8 +1,5 @@
 #include "emu/decoded_program.hh"
 
-#include <cstdlib>
-#include <string>
-
 #include "sim/logging.hh"
 
 namespace attila::emu
@@ -92,27 +89,6 @@ DecodedProgram::decode(const ShaderProgram& program)
         out.code.push_back(d);
     }
     return out;
-}
-
-std::optional<bool>
-envFastPathOverride()
-{
-    const char* env = std::getenv("ATTILA_EMU_FASTPATH");
-    if (!env)
-        return std::nullopt;
-    const std::string flag(env);
-    if (flag == "1" || flag == "true" || flag == "on")
-        return true;
-    if (flag == "0" || flag == "false" || flag == "off")
-        return false;
-    fatal("ATTILA_EMU_FASTPATH='", flag,
-          "' (use 0|1|false|true|off|on)");
-}
-
-bool
-emuFastPathDefault()
-{
-    return envFastPathOverride().value_or(true);
 }
 
 } // namespace attila::emu

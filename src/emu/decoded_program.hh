@@ -1,7 +1,7 @@
 /**
  * @file
  * DecodedProgram: the pre-decoded form of a ShaderProgram that the
- * emulator fast path executes (see docs/SIMULATION_MODEL.md).
+ * quad-lockstep interpreter executes (see docs/SIMULATION_MODEL.md).
  *
  * The interpreter's per-step costs are all *decode* costs: switching
  * on the operand bank, applying swizzles that are usually identity,
@@ -11,13 +11,14 @@
  * constant-bank index, with its swizzle/negate baked into a single
  * "identity" flag plus component indices; every instruction carries
  * its opcode class, latency, texture fields and destination
- * pre-resolved.  step() on the fast path never inspects an
- * Instruction again.
+ * pre-resolved.  stepQuad()/runQuad() never inspect an Instruction
+ * again.
  *
  * Decoding changes *where* values are read from, never *how* they
  * are combined: the arithmetic in the decoded interpreter is
- * expression-for-expression identical to ShaderEmulator::step(), so
- * registers stay bit-identical between the two paths.
+ * expression-for-expression identical to ShaderEmulator::step(), the
+ * legacy interpreter kept as its parity oracle, so registers stay
+ * bit-identical between the two.
  */
 
 #ifndef ATTILA_EMU_DECODED_PROGRAM_HH
@@ -25,7 +26,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -101,7 +101,7 @@ struct DecodedIns
     std::array<DecodedSrc, 3> src{};
 };
 
-/** A flattened program ready for the fast interpreter. */
+/** A flattened program ready for the quad interpreter. */
 struct DecodedProgram
 {
     std::vector<DecodedIns> code;
@@ -157,14 +157,6 @@ class DecodedProgramCache
     };
     std::unordered_map<const ShaderProgram*, Entry> _entries;
 };
-
-/** The ATTILA_EMU_FASTPATH environment override (unset: nullopt).
- * Accepts 1|true|on / 0|false|off; anything else is fatal. */
-std::optional<bool> envFastPathOverride();
-
-/** Effective default for paths without a GpuConfig (RefRenderer,
- * benches): the environment override, or true. */
-bool emuFastPathDefault();
 
 } // namespace attila::emu
 

@@ -287,10 +287,10 @@ ShaderEmulator::run(const ShaderProgram& program,
     panic("shader emulator: program did not terminate");
 }
 
-// ---- Pre-decoded fast path -------------------------------------
+// ---- Pre-decoded quad-lockstep interpreter ----------------------
 //
-// The interpreters below re-use the exact per-component expressions
-// of step() (see execDecodedAlu); only operand *addressing* changed.
+// stepQuad()/runQuad() re-use the exact per-component expressions of
+// step() (see execDecodedAlu); only operand *addressing* changed.
 
 namespace
 {
@@ -299,7 +299,7 @@ namespace
 // instruction; the surrounding interpreter switch is so large that
 // the compiler's inlining budget otherwise outlines them into real
 // calls (a Vec4 returned through memory each time), which dominates
-// the fast path.  Force the issue.
+// the interpreter.  Force the issue.
 #if defined(__GNUC__) || defined(__clang__)
 #define ATTILA_EMU_FORCE_INLINE inline __attribute__((always_inline))
 #else
@@ -355,9 +355,9 @@ writeDstD(const DecodedIns& ins, ShaderThreadState& state,
 }
 
 /**
- * The ALU dispatch shared by the scalar-decoded and quad paths: one
- * switch per *instruction*, then @p forLanes applies the case to
- * each live lane.  Every case computes the same expression as the
+ * The ALU dispatch of stepQuad() and runQuad(): one switch per
+ * *instruction*, then @p forLanes applies the case to each live
+ * lane.  Every case computes the same expression as the
  * matching case of ShaderEmulator::step(), in the same per-lane
  * order, so results are bit-identical to the reference interpreter.
  */
@@ -567,66 +567,6 @@ execDecodedAlu(const DecodedIns& ins, const ConstantBank& constants,
 
 } // anonymous namespace
 
-StepResult
-ShaderEmulator::stepDecoded(const DecodedProgram& program,
-                            const ConstantBank& constants,
-                            ShaderThreadState& state,
-                            const ImmediateSampler* sampler) const
-{
-    if (state.pc >= program.code.size())
-        panic("shader emulator: pc ", state.pc,
-              " past the end of a program of length ",
-              program.code.size());
-
-    const DecodedIns& ins = program.code[state.pc];
-
-    StepResult result;
-    result.latency = ins.latency;
-
-    if (ins.op == Opcode::END) {
-        result.outcome = StepOutcome::Done;
-        return result;
-    }
-
-    if (ins.isTexture) {
-        const Vec4 coord = readSrcD(ins.src[0], state, constants);
-        const f32 bias = ins.texBiased ? coord.w : 0.0f;
-        if (!sampler || !*sampler) {
-            result.outcome = StepOutcome::TexRequest;
-            result.texUnit = ins.texUnit;
-            result.texTarget = ins.texTarget;
-            result.texCoord = coord;
-            result.texLodBias = bias;
-            result.texProjected = ins.texProjected;
-            return result;
-        }
-        const Vec4 texel = (*sampler)(ins.texUnit, ins.texTarget,
-                                      coord, bias, ins.texProjected);
-        writeDstD(ins, state, texel);
-        ++state.pc;
-        result.outcome = StepOutcome::Continue;
-        return result;
-    }
-
-    if (ins.op == Opcode::KIL) {
-        const Vec4 a = readSrcD(ins.src[0], state, constants);
-        if (a.x < 0.0f || a.y < 0.0f || a.z < 0.0f || a.w < 0.0f) {
-            state.killed = true;
-            result.outcome = StepOutcome::Done;
-            return result;
-        }
-        ++state.pc;
-        result.outcome = StepOutcome::Continue;
-        return result;
-    }
-
-    const auto oneLane = [&](auto&& fn) { fn(state); };
-    execDecodedAlu(ins, constants, oneLane);
-    ++state.pc;
-    result.outcome = StepOutcome::Continue;
-    return result;
-}
-
 QuadStepResult
 ShaderEmulator::stepQuad(const DecodedProgram& program,
                          const ConstantBank& constants,
@@ -666,9 +606,8 @@ ShaderEmulator::stepQuad(const DecodedProgram& program,
 
     if (ins.isTexture) {
         if (!sampler || !*sampler) {
-            // Per-lane coordinate reads; the request fields take
-            // the last live lane's values, exactly as the per-lane
-            // request build loop overwrote them.
+            // Per-lane coordinate reads; the request's shared fields
+            // take the last live lane's values.
             result.outcome = StepOutcome::TexRequest;
             for (u32 l = 0; l < 4; ++l) {
                 if (laneDone[l])
@@ -685,8 +624,7 @@ ShaderEmulator::stepQuad(const DecodedProgram& program,
             return result;
         }
         // Inline quad access through the sampler: the *first* live
-        // lane supplies the shared bias, as the reference renderer's
-        // lockstep loop does.
+        // lane supplies the shared bias.
         std::array<Vec4, 4> coords{};
         u8 live = 0;
         f32 bias = 0.0f;
@@ -759,64 +697,6 @@ ShaderEmulator::completeTextureQuad(
         writeDstD(ins, lanes[l], texels[l]);
         ++lanes[l].pc;
     }
-}
-
-bool
-ShaderEmulator::runDecoded(const DecodedProgram& program,
-                           const ConstantBank& constants,
-                           ShaderThreadState& state,
-                           const ImmediateSampler* sampler) const
-{
-    // Tight interpreter loop: the same readSrcD / writeDstD /
-    // execDecodedAlu calls in the same order as stepDecoded(), but
-    // without materialising a StepResult per instruction.  The
-    // stepping path stays the reference for the timing model; this
-    // loop is the run-to-completion fast path.
-    const DecodedIns* const code = program.code.data();
-    const u32 length = static_cast<u32>(program.code.size());
-    const auto oneLane = [&](auto&& fn) { fn(state); };
-    // Keep pc in a local: readSrcD/writeDstD only touch the register
-    // arrays, so nothing in the loop aliases it; it is synced back to
-    // state.pc at every exit the stepping path can observe.
-    u32 pc = state.pc;
-    for (u32 guard = 0; guard < 65536; ++guard) {
-        if (pc >= length)
-            panic("shader emulator: pc ", pc,
-                  " past the end of a program of length ", length);
-        const DecodedIns& ins = code[pc];
-        if (ins.op == Opcode::END) {
-            state.pc = pc;
-            return !state.killed;
-        }
-        if (ins.isTexture) {
-            if (!sampler || !*sampler)
-                panic("shader emulator: runDecoded() needs an"
-                      " immediate sampler for texture instructions");
-            const Vec4 coord =
-                readSrcD(ins.src[0], state, constants);
-            const f32 bias = ins.texBiased ? coord.w : 0.0f;
-            const Vec4 texel =
-                (*sampler)(ins.texUnit, ins.texTarget, coord, bias,
-                           ins.texProjected);
-            writeDstD(ins, state, texel);
-            ++pc;
-            continue;
-        }
-        if (ins.op == Opcode::KIL) {
-            const Vec4 a = readSrcD(ins.src[0], state, constants);
-            if (a.x < 0.0f || a.y < 0.0f || a.z < 0.0f ||
-                a.w < 0.0f) {
-                state.pc = pc;
-                state.killed = true;
-                return false;
-            }
-            ++pc;
-            continue;
-        }
-        execDecodedAlu(ins, constants, oneLane);
-        ++pc;
-    }
-    panic("shader emulator: program did not terminate");
 }
 
 void
@@ -904,8 +784,8 @@ ShaderEmulator::runQuad(const DecodedProgram& program,
             if (!sampler)
                 panic("shader emulator: runQuad() needs a quad"
                       " sampler for texture instructions");
-            // The *first* live lane supplies the shared bias, as
-            // the reference renderer's lockstep loop does.
+            // The *first* live lane supplies the shared bias, as in
+            // stepQuad().
             std::array<Vec4, 4> coords{};
             u8 live = 0;
             f32 bias = 0.0f;

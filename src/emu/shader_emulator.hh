@@ -5,12 +5,17 @@
  * (paper §3).
  *
  * The emulator is pure functional code: it knows nothing about
- * cycles.  The timing boxes (ShaderUnit) call step() to execute one
- * instruction and learn its latency class; the reference renderer
- * calls run() to execute a whole program.  Texture sampling is
- * delegated through the TextureSampler interface so that the timing
+ * cycles.  Programs run four lanes (a quad) in lockstep over their
+ * pre-decoded form: the timing boxes (ShaderUnit) call stepQuad() to
+ * execute one instruction and learn its latency class; the reference
+ * renderer calls runQuad() to execute a whole program.  Texture
+ * sampling is delegated through a sampler callback so that the timing
  * path can route requests through the Texture Unit while functional
  * paths sample immediately.
+ *
+ * step()/run() are the legacy per-lane interpreter over the source
+ * ShaderProgram.  No model path uses them; they stay as the
+ * independent oracle the quad interpreter is checked against.
  */
 
 #ifndef ATTILA_EMU_SHADER_EMULATOR_HH
@@ -150,19 +155,12 @@ class ShaderEmulator
              const ConstantBank& constants, ShaderThreadState& state,
              const ImmediateSampler* sampler = nullptr) const;
 
-    // ---- Pre-decoded fast path (see emu/decoded_program.hh) ----
+    // ---- Pre-decoded quad lockstep (see emu/decoded_program.hh) ----
     //
-    // The decoded interpreters execute the same arithmetic in the
-    // same per-lane order as step(); registers stay bit-identical
-    // between the two paths.
-
-    /** step() against a pre-decoded program (scalar reference for
-     * the decode cache alone, used by the micro benchmark). */
-    StepResult stepDecoded(const DecodedProgram& program,
-                           const ConstantBank& constants,
-                           ShaderThreadState& state,
-                           const ImmediateSampler* sampler =
-                               nullptr) const;
+    // The quad interpreters execute the same arithmetic in the same
+    // per-lane order as step(); registers stay bit-identical between
+    // the two.  A lane whose laneDone entry starts true is masked off
+    // and left untouched, so scalar work is a quad with one live lane.
 
     /**
      * Execute one instruction for every live lane of a quad in
@@ -185,12 +183,6 @@ class ShaderEmulator
                              std::array<ShaderThreadState, 4>& lanes,
                              const std::array<bool, 4>& laneDone,
                              const std::array<Vec4, 4>& texels) const;
-
-    /** run() against a pre-decoded program. */
-    bool runDecoded(const DecodedProgram& program,
-                    const ConstantBank& constants,
-                    ShaderThreadState& state,
-                    const ImmediateSampler* sampler = nullptr) const;
 
     /**
      * Run a quad to completion in lockstep; texture instructions

@@ -55,8 +55,6 @@ FbCache::FbCache(std::string name, const Config& config,
 
     _backing->setLineBytes(_config.lineBytes);
     _defaultBacking.setLineBytes(_config.lineBytes);
-    _hits.setImmediate(!_config.fastPath);
-    _misses.setImmediate(!_config.fastPath);
 }
 
 s32
@@ -92,14 +90,6 @@ FbCache::pickVictim(u32 set)
     return best;
 }
 
-MemTransactionPtr
-FbCache::makeTransaction()
-{
-    if (_config.fastPath)
-        return _txnPool.acquire();
-    return std::make_shared<MemTransaction>();
-}
-
 u8
 FbCache::allocFillSlot()
 {
@@ -124,7 +114,7 @@ FbCache::queueWriteback(Cycle, u32 lineIndex)
 {
     // Encode straight into the transaction's (pooled) payload; an
     // intermediate staging buffer would copy the line twice.
-    MemTransactionPtr txn = makeTransaction();
+    MemTransactionPtr txn = _txnPool.acquire();
     txn->isRead = false;
     txn->address = _addr[lineIndex];
     txn->data.resize(_config.lineBytes);
@@ -290,7 +280,7 @@ FbCache::clock(Cycle cycle, MemPort& port, MemClient client)
             continue;
         if (!port.canRequest(cycle))
             break;
-        MemTransactionPtr txn = makeTransaction();
+        MemTransactionPtr txn = _txnPool.acquire();
         txn->isRead = true;
         txn->address = slot.addr;
         txn->size = _backing->fillSize(slot.addr);

@@ -22,7 +22,6 @@
 #include "gpu/commands.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/link.hh"
-#include "gpu/txn_pool.hh"
 #include "gpu/memory_controller.hh"
 #include "sim/box.hh"
 
@@ -96,7 +95,7 @@ class CommandProcessor : public sim::Box
     LinkTx _ctrlDac;
     std::vector<std::unique_ptr<LinkRx<AckObj>>> _ackIn;
     MemPort _mem;
-    TxnAllocator _txns;
+    sim::ObjectPool<MemTransaction> _txns;
 
     sim::Statistic& _statCommands;
     sim::Statistic& _statDraws;

@@ -48,7 +48,6 @@ Dac::Dac(sim::SignalBinder& binder, sim::StatisticManager& stats,
 {
     _ctrl.init(*this, binder, "cp.ctrl.dac", 1, 1, 2);
     _ack.init(*this, binder, "ack.dac", 1, 1, 2);
-    _txns.setPooled(config.memFastPath);
     _mem.init(*this, binder, "mc.dac", config.memoryRequestQueue);
 }
 

@@ -17,7 +17,6 @@
 #include "gpu/color_write.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/link.hh"
-#include "gpu/txn_pool.hh"
 #include "sim/box.hh"
 
 namespace attila::gpu
@@ -77,7 +76,7 @@ class Dac : public sim::Box
     LinkRx<ControlObj> _ctrl;
     LinkTx _ack;
     MemPort _mem;
-    TxnAllocator _txns;
+    sim::ObjectPool<MemTransaction> _txns;
 
     std::vector<std::shared_ptr<const ColorClearInfo>> _clearInfos;
     const emu::GpuMemory* _memory = nullptr;

@@ -19,7 +19,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "emu/decoded_program.hh"
 #include "gpu/dram_timing.hh"
 #include "sim/config_file.hh"
 
@@ -124,8 +123,6 @@ visitConfigFields(GpuConfig& c, V&& v)
     v.field("memory.frfcfsWindow", c.frfcfsWindow);
 
     v.field("engine.idleSkip", c.idleSkip);
-    v.field("engine.emuFastPath", c.emuFastPath);
-    v.field("engine.memFastPath", c.memFastPath);
     v.field("engine.drainPollInterval", c.drainPollInterval);
 
     v.field("stats.window", c.statsWindow);
@@ -430,10 +427,6 @@ GpuConfig::applyEnvOverrides()
     }
     if (const auto flag = envFlag("ATTILA_IDLE_SKIP"))
         idleSkip = *flag;
-    if (const auto fast = emu::envFastPathOverride())
-        emuFastPath = *fast;
-    if (const auto flag = envFlag("ATTILA_MEM_FASTPATH"))
-        memFastPath = *flag;
     if (const auto flag = envFlag("ATTILA_EVENT_TRACE"))
         eventTrace = *flag;
     envApplied = true;

@@ -303,19 +303,6 @@ struct GpuConfig
      * clocks every box every cycle, the oracle for debugging and A/B
      * runs.  Overridable via ATTILA_IDLE_SKIP=0|1. */
     bool idleSkip = true;
-    /** Pre-decoded shader programs + quad-lockstep emulation (and
-     * the shared-footprint texture sampling that rides on it).
-     * Bit-identical results either way; false restores the
-     * per-lane interpreter reference path for debugging and A/B
-     * runs.  Overridable via ATTILA_EMU_FASTPATH=0|1. */
-    bool emuFastPath = true;
-    /** Memory-hierarchy host fast path: pooled MemTransaction
-     * recycling, batched statistic commits and reused sampling
-     * scratch in the cache clients and memory controller.
-     * Bit-identical cycles and statistics either way; false restores
-     * the allocate-per-transaction reference path for debugging and
-     * A/B runs.  Overridable via ATTILA_MEM_FASTPATH=0|1. */
-    bool memFastPath = true;
     /** Cycles between drain polls once the command stream is
      * exhausted (the poll walks every box and signal, so it is too
      * expensive to run each cycle). */
@@ -411,9 +398,7 @@ struct GpuConfig
      * Apply the environment layer: ATTILA_CONFIG (a config file
      * path), ATTILA_CONFIG_SET (comma/semicolon-separated
      * section.key=value overrides) and the legacy per-knob variables
-     * (ATTILA_IDLE_SKIP, ATTILA_EMU_FASTPATH, ATTILA_MEM_FASTPATH,
-     * ATTILA_EVENT_TRACE).
-     * Idempotent per
+     * (ATTILA_IDLE_SKIP, ATTILA_EVENT_TRACE).  Idempotent per
      * config: sets envApplied so the Gpu constructor skips its own
      * application when a harness already layered the environment
      * (keeping `--set` the highest-precedence layer).

@@ -16,10 +16,6 @@ HierarchicalZ::HierarchicalZ(sim::SignalBinder& binder,
       _statQuads(stat("quads")),
       _statBusy(stat("busyCycles"))
 {
-    _statTiles.setImmediate(!config.memFastPath);
-    _statCulled.setImmediate(!config.memFastPath);
-    _statQuads.setImmediate(!config.memFastPath);
-    _statBusy.setImmediate(!config.memFastPath);
     _in.init(*this, binder, "fgen.hz", config.tilesPerCycle, 1,
              config.hzQueue);
     for (u32 i = 0; i < config.numRops; ++i) {

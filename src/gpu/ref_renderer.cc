@@ -1,5 +1,6 @@
 #include "gpu/ref_renderer.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "emu/clipper_emulator.hh"
@@ -101,146 +102,86 @@ RefRenderer::fetchAttribute(u32 stream, u32 index) const
     return v;
 }
 
-RefRenderer::ShadedVertex
-RefRenderer::shadeVertex(u32 index)
+void
+RefRenderer::shadeVertices(const DrawParams& params, u32 first,
+                           ShadedVertex* out)
 {
-    emu::ShaderThreadState thread;
-    for (u32 s = 0; s < maxVertexStreams; ++s) {
-        if (_state.streams[s].enabled)
-            thread.in[s] = fetchAttribute(s, index);
-    }
+    // Up to four vertices of the draw, shaded as one quad; lanes past
+    // the end of the draw are masked off.
     if (!_state.vertexProgram)
         fatal("RefRenderer: draw without a vertex program");
-    if (_fastPath) {
-        _emulator.runDecoded(_decodeCache.get(_state.vertexProgram),
-                             _state.vertexConstants, thread);
-    } else {
-        _emulator.run(*_state.vertexProgram, _state.vertexConstants,
-                      thread);
+    const u32 count = std::min(4u, params.count - first);
+    std::array<emu::ShaderThreadState, 4> lanes{};
+    std::array<bool, 4> laneDone{};
+    for (u32 l = 0; l < 4; ++l) {
+        laneDone[l] = l >= count;
+        if (laneDone[l])
+            continue;
+        const u32 seq = _state.indexStream.enabled
+                            ? first + l
+                            : params.first + first + l;
+        const u32 index = fetchIndex(seq);
+        for (u32 s = 0; s < maxVertexStreams; ++s) {
+            if (_state.streams[s].enabled)
+                lanes[l].in[s] = fetchAttribute(s, index);
+        }
     }
-    ShadedVertex out;
-    out.out = thread.out;
-    return out;
+    // Vertex programs carry no texture instructions.
+    const auto noTexture = [](u32, emu::TexTarget,
+                              const std::array<Vec4, 4>&, u8, f32,
+                              bool) -> std::array<Vec4, 4> {
+        panic("RefRenderer: texture access in a vertex program");
+    };
+    const emu::QuadSampler sampler = noTexture;
+    std::array<bool, 4> killed{};
+    _emulator.runQuad(_decodeCache.get(_state.vertexProgram),
+                      _state.vertexConstants, lanes, laneDone, killed,
+                      sampler);
+    for (u32 l = 0; l < count; ++l)
+        out[l].out = lanes[l].out;
 }
 
 void
 RefRenderer::shadeQuad(std::array<emu::ShaderThreadState, 4>& lanes,
                        std::array<bool, 4>& killed) const
 {
-    const emu::ShaderProgram& prog = *_state.fragmentProgram;
-    const emu::ConstantBank& consts = _state.fragmentConstants;
-
-    if (_fastPath) {
-        // Pre-decoded quad-lockstep path.  The sampler replicates the
-        // per-lane path below operation for operation (projection,
-        // shared footprint, per-lane sample) so registers stay
-        // bit-identical; the decoded-block cache is pure memoization.
-        auto quadSample =
-            [&](u32 unit, emu::TexTarget, const std::array<Vec4, 4>&
-                    rawCoords, u8 liveMask, f32 lodBias,
-                bool projected) -> std::array<Vec4, 4> {
-            std::array<Vec4, 4> coords = rawCoords;
-            if (projected) {
-                for (u32 l = 0; l < 4; ++l) {
-                    const f32 q =
-                        coords[l].w != 0.0f ? coords[l].w : 1.0f;
-                    coords[l] = {coords[l].x / q, coords[l].y / q,
-                                 coords[l].z / q, 1.0f};
-                }
-            }
-            const emu::TextureDescriptor& desc =
-                _state.textures[unit];
-            u32 aniso;
-            f32 lod;
-            Vec4 majorAxis;
-            TextureEmulator::quadFootprint(desc, coords, lodBias,
-                                           aniso, lod, majorAxis);
-            std::array<Vec4, 4> texels{};
-            emu::TexBlockCache blockCache;
+    // The sampler replicates the Texture Unit operation for operation
+    // (projection, shared footprint, per-lane sample) so registers
+    // stay bit-identical; the decoded-block cache is pure memoization.
+    auto quadSample = [&](u32 unit, emu::TexTarget,
+                          const std::array<Vec4, 4>& rawCoords,
+                          u8 liveMask, f32 lodBias,
+                          bool projected) -> std::array<Vec4, 4> {
+        std::array<Vec4, 4> coords = rawCoords;
+        if (projected) {
             for (u32 l = 0; l < 4; ++l) {
-                if (!(liveMask & (1u << l)))
-                    continue;
-                texels[l] = TextureEmulator::samplePlanned(
-                    desc, coords[l], lod, aniso, majorAxis, *_memory,
-                    &blockCache);
-            }
-            return texels;
-        };
-        const emu::QuadSampler sampler = quadSample;
-        std::array<bool, 4> laneDone{};
-        _emulator.runQuad(_decodeCache.get(_state.fragmentProgram),
-                          consts, lanes, laneDone, killed, sampler);
-        return;
-    }
-
-    // Lockstep execution with quad-context texture sampling, exactly
-    // as the shader units + texture units do it.
-    std::array<bool, 4> done{};
-    killed.fill(false);
-    for (u32 guard = 0; guard < 65536; ++guard) {
-        s32 ref = -1;
-        for (u32 l = 0; l < 4; ++l) {
-            if (!done[l]) {
-                ref = static_cast<s32>(l);
-                break;
+                const f32 q = coords[l].w != 0.0f ? coords[l].w : 1.0f;
+                coords[l] = {coords[l].x / q, coords[l].y / q,
+                             coords[l].z / q, 1.0f};
             }
         }
-        if (ref < 0)
-            return;
-
-        const emu::Instruction& ins = prog.code[lanes[ref].pc];
-        const emu::OpcodeInfo& info = emu::opcodeInfo(ins.op);
-
-        if (info.isTexture) {
-            std::array<Vec4, 4> coords{};
-            std::array<emu::StepResult, 4> steps;
-            for (u32 l = 0; l < 4; ++l) {
-                if (done[l])
-                    continue;
-                steps[l] = _emulator.step(prog, consts, lanes[l]);
-                coords[l] = steps[l].texCoord;
-            }
-            const emu::StepResult& s0 =
-                steps[static_cast<u32>(ref)];
-            if (s0.texProjected) {
-                for (u32 l = 0; l < 4; ++l) {
-                    const f32 q =
-                        coords[l].w != 0.0f ? coords[l].w : 1.0f;
-                    coords[l] = {coords[l].x / q, coords[l].y / q,
-                                 coords[l].z / q, 1.0f};
-                }
-            }
-            const emu::TextureDescriptor& desc =
-                _state.textures[s0.texUnit];
-            u32 aniso;
-            f32 lod;
-            Vec4 majorAxis;
-            TextureEmulator::quadFootprint(desc, coords,
-                                           s0.texLodBias, aniso,
-                                           lod, majorAxis);
-            for (u32 l = 0; l < 4; ++l) {
-                if (done[l])
-                    continue;
-                const auto plan = TextureEmulator::planSample(
-                    desc, coords[l], lod, aniso, majorAxis);
-                const Vec4 texel = TextureEmulator::executePlan(
-                    desc, plan, *_memory);
-                _emulator.completeTexture(prog, lanes[l], texel);
-            }
-            continue;
-        }
-
+        const emu::TextureDescriptor& desc = _state.textures[unit];
+        u32 aniso;
+        f32 lod;
+        Vec4 majorAxis;
+        TextureEmulator::quadFootprint(desc, coords, lodBias, aniso, lod,
+                                       majorAxis);
+        std::array<Vec4, 4> texels{};
+        emu::TexBlockCache blockCache;
         for (u32 l = 0; l < 4; ++l) {
-            if (done[l])
+            if (!(liveMask & (1u << l)))
                 continue;
-            const auto step = _emulator.step(prog, consts, lanes[l]);
-            if (step.outcome == emu::StepOutcome::Done) {
-                done[l] = true;
-                killed[l] = lanes[l].killed;
-            }
+            texels[l] = TextureEmulator::samplePlanned(
+                desc, coords[l], lod, aniso, majorAxis, *_memory,
+                &blockCache);
         }
-    }
-    panic("RefRenderer: fragment program did not terminate");
+        return texels;
+    };
+    const emu::QuadSampler sampler = quadSample;
+    std::array<bool, 4> laneDone{};
+    _emulator.runQuad(_decodeCache.get(_state.fragmentProgram),
+                      _state.fragmentConstants, lanes, laneDone, killed,
+                      sampler);
 }
 
 void
@@ -409,14 +350,9 @@ RefRenderer::draw(const DrawParams& params)
 {
     // Shade every vertex of the batch once (the post-shading vertex
     // cache makes the timing path equivalent).
-    std::vector<ShadedVertex> shaded;
-    shaded.reserve(params.count);
-    for (u32 i = 0; i < params.count; ++i) {
-        const u32 seq = _state.indexStream.enabled
-                            ? i
-                            : params.first + i;
-        shaded.push_back(shadeVertex(fetchIndex(seq)));
-    }
+    std::vector<ShadedVertex> shaded(params.count);
+    for (u32 i = 0; i < params.count; i += 4)
+        shadeVertices(params, i, &shaded[i]);
 
     auto tri = [&](u32 a, u32 b, u32 c) {
         drawTriangle(shaded[a], shaded[b], shaded[c]);

@@ -44,12 +44,6 @@ class RefRenderer
 
     emu::GpuMemory& memory() { return *_memory; }
 
-    /** Toggle the pre-decoded quad-lockstep fast path (bit-identical
-     * output either way; defaults to GpuConfig::emuFastPath's
-     * ATTILA_EMU_FASTPATH-aware default). */
-    void setFastPath(bool on) { _fastPath = on; }
-    bool fastPath() const { return _fastPath; }
-
   private:
     struct ShadedVertex
     {
@@ -59,7 +53,10 @@ class RefRenderer
     void draw(const DrawParams& params);
     void drawTriangle(const ShadedVertex& v0, const ShadedVertex& v1,
                       const ShadedVertex& v2);
-    ShadedVertex shadeVertex(u32 index);
+    /** Shade vertices [first, first + 4) of the draw (fewer at its
+     * tail) as one quad into @p out. */
+    void shadeVertices(const DrawParams& params, u32 first,
+                       ShadedVertex* out);
     u32 fetchIndex(u32 i) const;
     emu::Vec4 fetchAttribute(u32 stream, u32 index) const;
     void clearColor();
@@ -75,10 +72,9 @@ class RefRenderer
     RenderState _state;
     std::vector<FrameImage> _frames;
     emu::ShaderEmulator _emulator;
-    /** Pre-decoded program cache (fast path); mutable because
-     * shadeQuad() is const and decode-on-first-use is pure. */
+    /** Pre-decoded program cache; mutable because shadeQuad() is
+     * const and decode-on-first-use is pure. */
     mutable emu::DecodedProgramCache _decodeCache;
-    bool _fastPath = emu::emuFastPathDefault();
 };
 
 } // namespace attila::gpu

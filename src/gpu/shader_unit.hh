@@ -24,7 +24,7 @@
 #include "emu/shader_emulator.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/link.hh"
-#include "gpu/txn_pool.hh"
+#include "sim/object_pool.hh"
 #include "sim/box.hh"
 
 namespace attila::gpu
@@ -77,8 +77,9 @@ class ShaderUnit : public sim::Box
         u64 order = 0; ///< Age (for in-order scheduling).
         ShaderWorkObjPtr work;
         emu::ShaderProgramPtr program;
-        /** Pre-decoded form (fast path only).  Stable: the cache
-         * entry pins the source program for its own lifetime. */
+        /** Pre-decoded form.  Stable while `program` pins the
+         * source: the cache re-decodes an entry only when a new
+         * program reuses its address. */
         const emu::DecodedProgram* decoded = nullptr;
         const emu::ConstantBank* constants = nullptr;
         std::array<emu::ShaderThreadState, 4> lanes;
@@ -87,7 +88,6 @@ class ShaderUnit : public sim::Box
         bool finished = false;
         /** Scoreboard: cycle each temp register becomes readable. */
         std::array<Cycle, emu::regix::numTempRegs> tempReady{};
-        TexRequestPtr pendingTex; ///< Built but not yet sent.
 
         /** Host-side change counter: bumped whenever the pc,
          * laneDone or scoreboard changes, so the dependency check
@@ -112,7 +112,6 @@ class ShaderUnit : public sim::Box
     bool sendResult(Cycle cycle, Thread& thread);
     bool dependenciesReady(const Thread& thread, Cycle cycle) const;
     Cycle computeReadyAt(const Thread& thread) const;
-    TexRequestPtr makeTexRequest();
 
     const GpuConfig& _config;
     const u32 _unit;
@@ -125,7 +124,6 @@ class ShaderUnit : public sim::Box
 
     emu::ShaderEmulator _emulator;
     emu::DecodedProgramCache _decodeCache;
-    const bool _fastPath;
     /** Thread storage: a never-shrinking deque of slots recycled
      * through a free list (a Thread is ~4.5 KB of register state —
      * per-thread heap churn and node hops are host-side waste).

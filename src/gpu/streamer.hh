@@ -21,7 +21,6 @@
 #include "gpu/command_processor.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/link.hh"
-#include "gpu/txn_pool.hh"
 #include "gpu/memory_controller.hh"
 #include "sim/box.hh"
 
@@ -86,7 +85,7 @@ class Streamer : public sim::Box
     LinkRx<VertexObj> _fromShading;
     LinkTx _toAssembly;
     MemPort _mem;
-    TxnAllocator _txns;
+    sim::ObjectPool<MemTransaction> _txns;
 
     // Current batch.
     bool _active = false;

@@ -52,16 +52,12 @@ TextureUnit::TextureUnit(sim::SignalBinder& binder,
                              config.textureCacheWays,
                              config.textureCacheLine,
                              config.textureCachePorts,
-                             config.textureCacheMshr,
-                             config.memFastPath},
+                             config.textureCacheMshr},
              stat("cacheHits"), stat("cacheMisses")),
       _statRequests(stat("requests")),
       _statBilinearOps(stat("bilinearOps")),
       _statBusy(stat("busyCycles"))
 {
-    _statRequests.setImmediate(!config.memFastPath);
-    _statBilinearOps.setImmediate(!config.memFastPath);
-    _statBusy.setImmediate(!config.memFastPath);
     const std::string id = std::to_string(unit);
     for (u32 s = 0; s < config.numShaders; ++s) {
         auto rx = std::make_unique<LinkRx<TexRequest>>();
@@ -171,14 +167,12 @@ TextureUnit::process(Cycle cycle)
         const RenderState& state = *active.req->state;
         const emu::TextureDescriptor& desc =
             state.textures[active.req->textureUnit];
-        // Fast path: one decoded-block cache shared across the
-        // quad's four plans (pure memoization — identical texels).
+        // One decoded-block cache shared across the quad's four
+        // plans (pure memoization — identical texels).
         emu::TexBlockCache blockCache;
-        emu::TexBlockCache* cache =
-            _config.emuFastPath ? &blockCache : nullptr;
         for (u32 l = 0; l < 4; ++l) {
             active.req->texels[l] = TextureEmulator::executePlan(
-                desc, active.plans[l], _memory, cache);
+                desc, active.plans[l], _memory, &blockCache);
         }
         _statBilinearOps.inc(active.bilinearOps);
         active.filtering = true;

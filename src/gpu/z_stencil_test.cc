@@ -95,18 +95,13 @@ ZStencilTest::ZStencilTest(sim::SignalBinder& binder,
       _cache("zcache" + std::to_string(unit),
              FbCache::Config{config.zCacheKB, config.zCacheWays,
                              config.zCacheLine, 4,
-                             config.zCacheMshr,
-                             config.memFastPath},
+                             config.zCacheMshr},
              stat("cacheHits"), stat("cacheMisses"), &_backing),
       _statQuads(stat("quads")),
       _statFragsTested(stat("fragmentsTested")),
       _statFragsPassed(stat("fragmentsPassed")),
       _statBusy(stat("busyCycles"))
 {
-    _statQuads.setImmediate(!config.memFastPath);
-    _statFragsTested.setImmediate(!config.memFastPath);
-    _statFragsPassed.setImmediate(!config.memFastPath);
-    _statBusy.setImmediate(!config.memFastPath);
     const std::string id = std::to_string(unit);
     _earlyIn.init(*this, binder, "hz.ropz" + id, 16, 1, 16);
     _lateIn.init(*this, binder, "ffifo.ropz" + id + ".late", 2, 1,
@@ -128,9 +123,7 @@ ZStencilTest::ZStencilTest(sim::SignalBinder& binder,
 void
 ZStencilTest::HzEnqueue::operator()(u32 tileIndex, f32 maxZ) const
 {
-    auto upd = owner->_config.memFastPath
-                   ? owner->_hzPool.acquire()
-                   : std::make_shared<HzUpdateObj>();
+    auto upd = owner->_hzPool.acquire();
     upd->tileIndex = tileIndex;
     upd->maxZ = maxZ;
     owner->_hzQueue.push_back(std::move(upd));

@@ -183,7 +183,21 @@ struct BinaryReader
 {
     std::ifstream in;
     const std::string& path;
+    u64 fileSize = 0;
     u64 offset = 0;
+
+    /** Fail unless @p size more bytes remain in the file.  Every
+     * length read from the file is charged here before it sizes an
+     * allocation, so a corrupt header can never ask for more memory
+     * than the file itself holds. */
+    void
+    charge(u64 size, const char* what) const
+    {
+        if (size > fileSize - offset)
+            fatal("event trace: '", path, "': ", what, " of ", size,
+                  " bytes overruns the file (", fileSize - offset,
+                  " bytes left at offset ", offset, ")");
+    }
 
     void
     read(void* data, std::size_t size, const char* what)
@@ -221,6 +235,8 @@ struct BinaryReader
         if (count > (1u << 20))
             fatal("event trace: '", path, "': implausible ", what,
                   " count ", count, " at offset ", offset);
+        // Each entry holds at least its 4-byte length.
+        charge(u64{count} * sizeof(u32), what);
         std::vector<std::string> table;
         table.reserve(count);
         for (u32 i = 0; i < count; ++i) {
@@ -229,6 +245,7 @@ struct BinaryReader
                 fatal("event trace: '", path, "': implausible ",
                       what, " name length ", len, " at offset ",
                       offset);
+            charge(len, what);
             std::string name(len, '\0');
             read(name.data(), len, what);
             table.push_back(std::move(name));
@@ -264,9 +281,13 @@ writeEventTraceBinary(const EventTraceData& data,
 EventTraceData
 readEventTraceBinary(const std::string& path)
 {
-    BinaryReader reader{std::ifstream(path, std::ios::binary), path};
-    if (!reader.in)
+    BinaryReader reader{
+        std::ifstream(path, std::ios::binary | std::ios::ate), path};
+    const std::streamoff size = reader.in.tellg();
+    if (!reader.in || size < 0)
         fatal("event trace: cannot open '", path, "' for reading");
+    reader.fileSize = static_cast<u64>(size);
+    reader.in.seekg(0);
 
     char magic[sizeof kMagic];
     reader.read(magic, sizeof magic, "magic");
@@ -285,6 +306,7 @@ readEventTraceBinary(const std::string& path)
     if (count > (u64{1} << 32))
         fatal("event trace: '", path, "': implausible event count ",
               count, " at offset ", reader.offset);
+    reader.charge(count * sizeof(TraceEvent) + sizeof(u64), "events");
     data.events.resize(count);
     reader.read(data.events.data(), count * sizeof(TraceEvent),
                 "events");

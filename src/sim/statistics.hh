@@ -75,28 +75,20 @@ class Statistic
  * observably identical as long as commits happen before the
  * StatisticManager closes the cycle's sampling window — the
  * simulator closes windows between master ticks, after every box
- * has updated.  setImmediate(true) restores the straight-through
- * reference path for A/B runs.
+ * has updated.
  */
 class BatchedStat
 {
   public:
     explicit BatchedStat(Statistic& stat) : _stat(stat) {}
 
-    void
-    inc(u64 n = 1)
-    {
-        if (_immediate)
-            _stat.inc(n);
-        else
-            _pending += n;
-    }
+    void inc(u64 n = 1) { _pending += n; }
 
     /** Events accumulated since the last commit. */
     u64 pending() const { return _pending; }
 
     /** Committed total plus pending events — what total() will
-     * read after the next commit.  Valid in both modes. */
+     * read after the next commit. */
     u64 liveTotal() const { return _stat.total() + _pending; }
 
     void
@@ -108,12 +100,9 @@ class BatchedStat
         }
     }
 
-    void setImmediate(bool immediate) { _immediate = immediate; }
-
   private:
     Statistic& _stat;
     u64 _pending = 0;
-    bool _immediate = false;
 };
 
 /**

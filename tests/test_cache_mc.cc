@@ -613,43 +613,10 @@ TEST(FbCache, InvalidateAllCancelsInFlightFills)
     EXPECT_TRUE(refilled);
 }
 
-TEST(FbCache, FastPathOffMatchesFastPathOn)
-{
-    // The host fast path (pooled transactions, batched stats) must
-    // not change modeled timing: the same access script produces the
-    // same hit cycle and the same stat totals either way.
-    auto script = [](bool fastPath, u64& hitCycle, u64& hits,
-                     u64& misses) {
-        CacheHarness ch(
-            FbCache::Config{16, 4, 256, 4, 4, fastPath});
-        for (u32 i = 0; i < 256; ++i)
-            ch.h.memory.data()[0x2000 + i] = static_cast<u8>(i);
-        hitCycle = 0;
-        ch.step = [&](Cycle cycle) {
-            if (hitCycle == 0 &&
-                ch.cache.access(cycle, 0x2000, false) ==
-                    CacheAccess::Hit) {
-                hitCycle = cycle;
-            }
-        };
-        ch.run(200);
-        hits = ch.h.sim.stats().get("cache", "hits").total();
-        misses = ch.h.sim.stats().get("cache", "misses").total();
-    };
-    u64 hitFast = 0, hFast = 0, mFast = 0;
-    u64 hitRef = 0, hRef = 0, mRef = 0;
-    script(true, hitFast, hFast, mFast);
-    script(false, hitRef, hRef, mRef);
-    EXPECT_NE(hitFast, 0u);
-    EXPECT_EQ(hitFast, hitRef);
-    EXPECT_EQ(hFast, hRef);
-    EXPECT_EQ(mFast, mRef);
-}
-
 TEST(FbCache, SteadyStateMissesAllocateNothing)
 {
-    // After a warm-up round, the pooled fast path recycles its fill
-    // and writeback transactions: the pool's allocation counter must
+    // After a warm-up round, the pool recycles the fill and
+    // writeback transactions: the pool's allocation counter must
     // plateau even as misses keep streaming.
     CacheHarness ch;
     u32 round = 0;

@@ -1,28 +1,28 @@
 /**
  * @file
- * Fast-path identity tests: the pre-decoded scalar and quad-lockstep
- * interpreters must be bit-identical to the legacy per-lane
- * interpreter over the whole ISA (randomized programs covering every
- * opcode, including TEX/TXB/TXP and partial KIL masks), the decode
- * cache must reuse and invalidate entries by program identity, and
- * full workloads must render identical frames and count identical
- * cycles with the fast path on and off.
+ * Quad-interpreter parity tests: the pre-decoded quad-lockstep
+ * interpreter the model runs must be bit-identical to the legacy
+ * per-lane interpreter (its independent oracle) over the whole ISA —
+ * randomized programs covering every opcode, including TEX/TXB/TXP
+ * and partial KIL masks, under every lane mask (a masked quad is how
+ * scalar and tail-of-draw vertex work runs) — and over the real
+ * vertex and fragment programs of the terrain, shadows and cubes
+ * scenes on seeded random inputs.  The decode cache must reuse and
+ * invalidate entries by program identity.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <sstream>
+#include <set>
 
 #include "emu/decoded_program.hh"
 #include "emu/shader_emulator.hh"
 #include "emu/shader_isa.hh"
 #include "gl/context.hh"
-#include "gpu/gpu.hh"
-#include "gpu/ref_renderer.hh"
+#include "gpu/commands.hh"
 #include "workloads/cubes.hh"
 #include "workloads/shadows.hh"
 #include "workloads/terrain.hh"
@@ -213,71 +213,113 @@ expectLaneEqual(const ShaderThreadState& a,
         << "seed " << seed << " lane " << lane;
 }
 
-TEST(EmuFastPath, RandomProgramsScalarVsQuadBitIdentical)
+/** Both interpreters' results for one quad under one lane mask. */
+struct QuadRun
+{
+    std::array<ShaderThreadState, 4> lanes;
+    std::array<bool, 4> killed{};
+};
+
+/** One sampler of each shape over texel(); named, so the
+ * non-owning sampler references below can bind to them. */
+const auto immediateFn = [](u32 unit, TexTarget, const Vec4& coord, f32,
+                            bool projected) {
+    return texel(unit, coord, projected);
+};
+
+const auto quadFn = [](u32 unit, TexTarget,
+                       const std::array<Vec4, 4>& coords, u8 liveMask,
+                       f32, bool projected) {
+    std::array<Vec4, 4> texels{};
+    for (u32 l = 0; l < 4; ++l) {
+        if (liveMask & (1u << l))
+            texels[l] = texel(unit, coords[l], projected);
+    }
+    return texels;
+};
+
+/** The two interpreters side by side. */
+struct Interpreters
 {
     ShaderEmulator emulator;
-
-    auto immediateFn = [](u32 unit, TexTarget, const Vec4& coord,
-                          f32, bool projected) {
-        return texel(unit, coord, projected);
-    };
     const ImmediateSampler immediate = immediateFn;
-
-    auto quadFn = [](u32 unit, TexTarget,
-                     const std::array<Vec4, 4>& coords, u8 liveMask,
-                     f32, bool projected) {
-        std::array<Vec4, 4> texels{};
-        for (u32 l = 0; l < 4; ++l) {
-            if (liveMask & (1u << l))
-                texels[l] = texel(unit, coords[l], projected);
-        }
-        return texels;
-    };
     const QuadSampler quadSampler = quadFn;
 
+    /** Reference: the legacy per-lane interpreter on the live lanes
+     * of @p liveMask; masked lanes keep their input state. */
+    QuadRun
+    legacy(const ShaderProgram& prog, const ConstantBank& constants,
+           const std::array<ShaderThreadState, 4>& input,
+           u8 liveMask) const
+    {
+        QuadRun r{input, {}};
+        for (u32 l = 0; l < 4; ++l) {
+            if (liveMask & (1u << l)) {
+                r.killed[l] = !emulator.run(prog, constants, r.lanes[l],
+                                            &immediate);
+            }
+        }
+        return r;
+    }
+
+    /** The quad-lockstep interpreter with masked lanes done from the
+     * start. */
+    QuadRun
+    lockstep(const DecodedProgram& decoded,
+             const ConstantBank& constants,
+             const std::array<ShaderThreadState, 4>& input,
+             u8 liveMask, const std::string& label) const
+    {
+        QuadRun r{input, {}};
+        std::array<bool, 4> laneDone{};
+        for (u32 l = 0; l < 4; ++l)
+            laneDone[l] = !(liveMask & (1u << l));
+        emulator.runQuad(decoded, constants, r.lanes, laneDone,
+                         r.killed, quadSampler);
+        for (u32 l = 0; l < 4; ++l)
+            EXPECT_TRUE(laneDone[l]) << label << " lane " << l;
+        return r;
+    }
+
+    /** Run both interpreters on @p quad under @p liveMask and
+     * compare every lane bit for bit. */
+    void
+    expectMatch(const ShaderProgram& prog, const DecodedProgram& decoded,
+                const ConstantBank& constants,
+                const std::array<ShaderThreadState, 4>& quad,
+                u8 liveMask, u32 seed, const std::string& label) const
+    {
+        const std::string where =
+            label + " mask " + std::to_string(liveMask);
+        const QuadRun ref = legacy(prog, constants, quad, liveMask);
+        const QuadRun got =
+            lockstep(decoded, constants, quad, liveMask, where);
+        for (u32 l = 0; l < 4; ++l) {
+            SCOPED_TRACE(where);
+            expectLaneEqual(ref.lanes[l], got.lanes[l], seed, l);
+            EXPECT_EQ(got.killed[l], ref.killed[l])
+                << where << " seed " << seed << " lane " << l;
+        }
+    }
+};
+
+TEST(EmuFastPath, RandomProgramsScalarVsQuadBitIdentical)
+{
+    // Every lane mask: all four lanes, the single live lane of scalar
+    // work, the 1-3 live lanes of a draw's last vertex quad, and
+    // every other partial quad.
+    const Interpreters interp;
     for (u32 seed = 0; seed < 48; ++seed) {
         Lcg rng(seed);
         const ShaderProgram prog = makeRandomProgram(rng);
         const ConstantBank constants =
             ShaderEmulator::makeConstants(prog);
-        const DecodedProgram decoded =
-            DecodedProgram::decode(prog);
+        const DecodedProgram decoded = DecodedProgram::decode(prog);
         const std::array<ShaderThreadState, 4> quad =
             randomQuad(rng);
-
-        // Reference: the legacy per-lane interpreter.
-        std::array<ShaderThreadState, 4> scalarLanes = quad;
-        std::array<bool, 4> scalarKilled{};
-        for (u32 l = 0; l < 4; ++l) {
-            scalarKilled[l] = !emulator.run(prog, constants,
-                                            scalarLanes[l],
-                                            &immediate);
-        }
-
-        // Pre-decoded scalar interpreter.
-        std::array<ShaderThreadState, 4> decodedLanes = quad;
-        for (u32 l = 0; l < 4; ++l) {
-            const bool alive = emulator.runDecoded(
-                decoded, constants, decodedLanes[l], &immediate);
-            EXPECT_EQ(alive, !scalarKilled[l])
-                << "seed " << seed << " lane " << l;
-        }
-
-        // Quad-lockstep interpreter.
-        std::array<ShaderThreadState, 4> quadLanes = quad;
-        std::array<bool, 4> laneDone{};
-        std::array<bool, 4> quadKilled{};
-        emulator.runQuad(decoded, constants, quadLanes, laneDone,
-                         quadKilled, quadSampler);
-
-        for (u32 l = 0; l < 4; ++l) {
-            expectLaneEqual(scalarLanes[l], decodedLanes[l], seed,
-                            l);
-            expectLaneEqual(scalarLanes[l], quadLanes[l], seed, l);
-            EXPECT_EQ(quadKilled[l], scalarKilled[l])
-                << "seed " << seed << " lane " << l;
-            EXPECT_TRUE(laneDone[l])
-                << "seed " << seed << " lane " << l;
+        for (u8 mask = 1; mask < 16; ++mask) {
+            interp.expectMatch(prog, decoded, constants, quad, mask,
+                               seed, "random");
         }
     }
 }
@@ -321,7 +363,7 @@ TEST(EmuFastPath, DecodeCacheReusesAndInvalidatesByIdentity)
     EXPECT_EQ(decodedFirst.code.back().op, Opcode::END);
 }
 
-// ---- Workload-level on/off identity ------------------------------
+// ---- Whole-scene programs ----------------------------------------
 
 gpu::CommandList
 buildCommands(workloads::Workload& workload,
@@ -346,99 +388,60 @@ smallParams()
     return params;
 }
 
-u64
-framebufferHash(const gpu::Gpu& gpu)
+/** Run every distinct vertex and fragment program a scene loads
+ * through both interpreters on seeded random inputs and constants. */
+void
+expectSceneProgramsMatch(workloads::Workload& workload,
+                         const std::string& scene)
 {
-    u64 h = 14695981039346656037ull;
-    for (const gpu::FrameImage& frame : gpu.frames()) {
-        for (u32 px : frame.pixels) {
-            h ^= px;
-            h *= 1099511628211ull;
+    const gpu::CommandList list = buildCommands(workload, smallParams());
+    std::set<const ShaderProgram*> seen;
+    const Interpreters interp;
+    u32 programs = 0;
+    for (const gpu::Command& cmd : list) {
+        if (cmd.op != gpu::CommandOp::LoadVertexProgram &&
+            cmd.op != gpu::CommandOp::LoadFragmentProgram)
+            continue;
+        if (!seen.insert(cmd.program.get()).second)
+            continue;
+        const ShaderProgram& prog = *cmd.program;
+        const DecodedProgram decoded = DecodedProgram::decode(prog);
+        const bool vertex =
+            cmd.op == gpu::CommandOp::LoadVertexProgram;
+        const std::string label = scene +
+                                  (vertex ? " vertex" : " fragment") +
+                                  " program " +
+                                  std::to_string(programs++);
+        for (u32 seed = 0; seed < 16; ++seed) {
+            Lcg rng(seed);
+            ConstantBank constants;
+            for (Vec4& c : constants) {
+                c = {rng.uniform(-2.0f, 2.0f), rng.uniform(-2.0f, 2.0f),
+                     rng.uniform(-2.0f, 2.0f), rng.uniform(-2.0f, 2.0f)};
+            }
+            ShaderEmulator::applyLiterals(prog, constants);
+            const std::array<ShaderThreadState, 4> quad =
+                randomQuad(rng);
+            for (const u8 mask : {u8{0xf}, u8{0x1}, u8{0x3}, u8{0x7},
+                                  u8{0xe}}) {
+                interp.expectMatch(prog, decoded, constants, quad,
+                                   mask, seed, label);
+            }
         }
     }
-    return h;
+    // Each scene loads at least one vertex and one fragment program.
+    EXPECT_GE(programs, 2u) << scene;
 }
 
-struct RunFingerprint
+TEST(EmuFastPath, SceneProgramsScalarVsQuadBitIdentical)
 {
-    u64 cycles = 0;
-    u64 fbHash = 0;
-    std::size_t frames = 0;
-    std::string totalsCsv;
-};
-
-RunFingerprint
-runGpu(const gpu::CommandList& list, bool fastPath)
-{
-    unsetenv("ATTILA_EMU_FASTPATH");
-    gpu::GpuConfig config = gpu::GpuConfig::baseline();
-    config.memorySize = 32u << 20;
-    config.emuFastPath = fastPath;
-
-    gpu::Gpu gpu(config);
-    gpu.submit(list);
-    EXPECT_TRUE(gpu.runUntilIdle(200'000'000))
-        << "pipeline did not drain";
-
-    RunFingerprint fp;
-    fp.cycles = gpu.cycle();
-    fp.fbHash = framebufferHash(gpu);
-    fp.frames = gpu.frames().size();
-    std::ostringstream totals;
-    gpu.stats().writeTotalsCsv(totals);
-    fp.totalsCsv = totals.str();
-    return fp;
-}
-
-void
-expectOnOffIdentical(workloads::Workload& workload,
-                     const workloads::WorkloadParams& params,
-                     const char* label)
-{
-    const gpu::CommandList list = buildCommands(workload, params);
-
-    const RunFingerprint on = runGpu(list, true);
-    const RunFingerprint off = runGpu(list, false);
-    ASSERT_GT(on.cycles, 0u) << label;
-    EXPECT_EQ(on.cycles, off.cycles) << label;
-    EXPECT_EQ(on.frames, off.frames) << label;
-    EXPECT_EQ(on.fbHash, off.fbHash) << label;
-    EXPECT_EQ(on.totalsCsv, off.totalsCsv) << label;
-
-    // The reference renderer also honors the toggle.
-    gpu::RefRenderer refOn(32u << 20);
-    refOn.setFastPath(true);
-    refOn.execute(list);
-    gpu::RefRenderer refOff(32u << 20);
-    refOff.setFastPath(false);
-    refOff.execute(list);
-    ASSERT_EQ(refOn.frames().size(), params.frames) << label;
-    for (u32 f = 0; f < params.frames; ++f) {
-        EXPECT_EQ(refOn.frames()[f].diffCount(refOff.frames()[f]),
-                  0u)
-            << label << " frame " << f;
-    }
-}
-
-TEST(EmuFastPath, TerrainOnOffIdentical)
-{
-    workloads::WorkloadParams params = smallParams();
-    workloads::TerrainWorkload workload(params);
-    expectOnOffIdentical(workload, params, "terrain");
-}
-
-TEST(EmuFastPath, ShadowsOnOffIdentical)
-{
-    workloads::WorkloadParams params = smallParams();
-    workloads::ShadowsWorkload workload(params);
-    expectOnOffIdentical(workload, params, "shadows");
-}
-
-TEST(EmuFastPath, CubesOnOffIdentical)
-{
-    workloads::WorkloadParams params = smallParams();
-    workloads::CubesWorkload workload(params);
-    expectOnOffIdentical(workload, params, "cubes");
+    const workloads::WorkloadParams params = smallParams();
+    workloads::TerrainWorkload terrain(params);
+    expectSceneProgramsMatch(terrain, "terrain");
+    workloads::ShadowsWorkload shadows(params);
+    expectSceneProgramsMatch(shadows, "shadows");
+    workloads::CubesWorkload cubes(params);
+    expectSceneProgramsMatch(cubes, "cubes");
 }
 
 } // anonymous namespace

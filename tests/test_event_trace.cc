@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -250,6 +251,54 @@ TEST(EventTrace, CorruptBinaryIsDiagnosticFatal)
 
     EXPECT_THROW(readEventTraceBinary("no_such_file.evtrace"),
                  FatalError);
+    std::remove(path.c_str());
+}
+
+TEST(EventTrace, OversizedLengthsFailBeforeAllocating)
+{
+    // Lengths in a corrupt header are charged against the bytes left
+    // in the file before anything is allocated: a file of a few dozen
+    // bytes that claims 2^32 events (128 GiB) must fail at once with
+    // an "overruns" diagnostic, not a resize followed by a short read.
+    const std::string path = "test_event_trace_oversized.tmp";
+    const auto rewrite = [&](const EventTraceData& data,
+                             std::size_t offset, const void* value,
+                             std::size_t size) {
+        writeEventTraceBinary(data, path);
+        std::fstream f(path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(static_cast<std::streamoff>(offset));
+        f.write(static_cast<const char*>(value),
+                static_cast<std::streamsize>(size));
+    };
+    const auto expectOverrun = [&](const char* what) {
+        try {
+            readEventTraceBinary(path);
+            ADD_FAILURE() << what << ": read succeeded";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find("overruns"),
+                      std::string::npos)
+                << what << ": " << e.what();
+        }
+    };
+
+    // Layout: 8-byte magic, four tables (u32 count, then u32 length +
+    // bytes per name), u64 dropped, u64 event count.
+    const EventTraceData empty;
+    const u64 hugeCount = u64{1} << 32;
+    rewrite(empty, 8 + 4 * 4 + 8, &hugeCount, sizeof hugeCount);
+    expectOverrun("event count 2^32");
+
+    const u32 tableCount = 1u << 20;
+    rewrite(empty, 8, &tableCount, sizeof tableCount);
+    expectOverrun("box table count 2^20");
+
+    EventTraceData named;
+    named.boxes = {"b"};
+    const u32 nameLength = 4096;
+    rewrite(named, 8 + 4, &nameLength, sizeof nameLength);
+    expectOverrun("box name length 4096");
+
     std::remove(path.c_str());
 }
 
